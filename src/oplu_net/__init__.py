@@ -23,7 +23,6 @@ from .linalg import (
     Rng,
     expm,
     l2_norm,
-    matmul,
     random_orthogonal,
     random_orthogonal_rect,
     random_skew_symmetric,
@@ -69,7 +68,6 @@ from .diagnostics import (
     finite_diff_grad,
     min_nonsmooth_gap,
     trace_delta_norms,
-    write_bptt_trace_csv,
     write_norm_trace_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint

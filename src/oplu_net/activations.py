@@ -6,6 +6,9 @@ pairwise permutation activation routes each pair of presynaptic values to
 2x2 identity or swap blocks, so it is orthogonal everywhere and the
 backward pass is the same permutation applied to the incoming deltas:
 no scaling of the gradient ever happens inside the activation.
+
+A kind is one of the scalar names or an Oplu; models hand it to activate,
+activate_values and activate_backward and never branch on it themselves.
 """
 
 import numpy as np
@@ -86,8 +89,22 @@ def make_activation(name: str, width: int):
     return name
 
 
-def activation_name(kind) -> str:
-    return "oplu" if isinstance(kind, Oplu) else kind
+def check_activation(kind, width: int) -> None:
+    """Reject anything but a scalar kind name or a pairing over `width` units."""
+    if isinstance(kind, Oplu):
+        if kind.scheme.width != width:
+            raise ShapeError(
+                f"oplu pairing covers {kind.scheme.width} units but the layer has {width}"
+            )
+    elif kind not in SCALAR_KINDS:
+        raise ValueError(f"unknown activation {kind!r}")
+
+
+def activation_token(kind) -> str:
+    """The checkpoint form of a kind: its name, and for oplu its pairs as i:j entries."""
+    if isinstance(kind, Oplu):
+        return "oplu " + ",".join(f"{i}:{j}" for i, j in kind.scheme.pairs)
+    return kind
 
 
 def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None, mask_out=None):
@@ -218,3 +235,28 @@ def scalar_derivative(kind, a: np.ndarray, value=None) -> np.ndarray:
         return s * (1.0 - s)
     t = np.tanh(a) if value is None else value
     return 1.0 - t * t
+
+
+def activate(kind, a: np.ndarray, out=None):
+    """Activation values at the presynaptic input, written into `out` when
+    given, and the swap mask (None for scalar kinds)."""
+    if isinstance(kind, Oplu):
+        return oplu_forward(a, kind.scheme, out=out)
+    return scalar_forward(kind, a, out=out), None
+
+
+def activate_values(kind, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """activate's values alone, written into `out`; oplu pairs go through
+    oplu_values, so a -0.0/+0.0 tie may come out in either order."""
+    if isinstance(kind, Oplu):
+        return oplu_values(a, kind.scheme, out)
+    return scalar_forward(kind, a, out=out)
+
+
+def activate_backward(kind, delta_hat: np.ndarray, a: np.ndarray, z: np.ndarray, mask,
+                      out=None) -> np.ndarray:
+    """Deltas with respect to the presynaptic input `a`, given those with
+    respect to the values `z` and `mask` that activate returned for it."""
+    if isinstance(kind, Oplu):
+        return oplu_backward(delta_hat, mask, kind.scheme, out=out)
+    return np.multiply(delta_hat, scalar_derivative(kind, a, value=z), out=out)

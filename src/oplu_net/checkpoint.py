@@ -32,19 +32,12 @@ entries, so a reloaded model applies exactly the same permutations.
 
 import numpy as np
 
-from .activations import Oplu, PairingScheme, activation_name
+from .activations import SCALAR_KINDS, Oplu, PairingScheme, activation_token
 from .errors import ParseError
 from .network import DenseLayer, DenseNet
 from .recurrent import Srn
 
 FORMAT_LINE = "OPLU-CKPT 1"
-
-
-def _activation_token(kind) -> str:
-    if isinstance(kind, Oplu):
-        pairs = ",".join(f"{i}:{j}" for i, j in kind.scheme.pairs)
-        return f"oplu {pairs}"
-    return kind
 
 
 def _parse_activation(token: str, offset: int):
@@ -57,7 +50,7 @@ def _parse_activation(token: str, offset: int):
             return Oplu(PairingScheme(pairs))
         except ValueError as exc:
             raise ParseError(f"bad oplu pairing: {exc}", offset=offset) from None
-    if len(parts) != 1 or parts[0] not in ("linear", "relu", "sigmoid", "tanh"):
+    if len(parts) != 1 or parts[0] not in SCALAR_KINDS:
         raise ParseError(f"unknown activation {token!r}", offset=offset)
     return parts[0]
 
@@ -75,11 +68,11 @@ def save_checkpoint(path, model) -> None:
         lines.append(f"loss {model.loss}")
         lines.append(f"layers {len(model.layers)}")
         for idx, layer in enumerate(model.layers):
-            lines.append(f"layer {idx} {layer.fan_in} {layer.fan_out} {_activation_token(layer.activation)}")
+            lines.append(f"layer {idx} {layer.fan_in} {layer.fan_out} {activation_token(layer.activation)}")
     elif isinstance(model, Srn):
         lines.append("model srn")
         lines.append(f"dims {model.input_dim} {model.hidden_dim} {model.output_dim}")
-        lines.append(f"activation {_activation_token(model.hidden_activation)}")
+        lines.append(f"activation {activation_token(model.hidden_activation)}")
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     tensors = _named_tensors(model)
@@ -216,13 +209,3 @@ def load_checkpoint(path):
     w_in, w_rec, b_h, w_out, b_out, h0 = arrays
     return Srn(w_in, w_rec, b_h, w_out, b_out, act, h0)
 
-
-def checkpoint_summary(model) -> str:
-    tensors = _named_tensors(model)
-    total = sum(int(np.prod(t.shape)) for _, t in tensors)
-    kind = "srn" if isinstance(model, Srn) else "dense"
-    if kind == "srn":
-        act = activation_name(model.hidden_activation)
-    else:
-        act = ",".join(activation_name(l.activation) for l in model.layers)
-    return f"{kind} model, {total} parameters, activations: {act}"

@@ -24,7 +24,7 @@ from .config import (
     resolve_init,
 )
 from .datasets import gen_adding, load_mnist_idx, split
-from .diagnostics import trace_delta_norms, write_bptt_trace_csv, write_norm_trace_csv
+from .diagnostics import NormTrace, trace_delta_norms, write_norm_trace_csv
 from .errors import ConfigError, NumericError, ParseError
 from .linalg import Rng
 from .network import SgdMomentum, evaluate, init_dense, sgd_step, train_epoch
@@ -191,8 +191,12 @@ def run_adding(cfg: dict) -> AddingReport:
     with open(csv_path, "w", newline="") as f:
         f.write("\n".join(rows) + "\n")
     # delta-norm trace of the trained model on the first test sequence
-    _, trace = bptt(net, test.sample(0), BpttConfig(horizon))
-    write_bptt_trace_csv(os.path.join(cfg["out_dir"], f"{tag}_delta_trace.csv"), trace)
+    _, norms = bptt(net, test.sample(0), BpttConfig(horizon))
+    trace = NormTrace([str(t) for t in range(1, len(norms) + 1)], norms[::-1], {
+        "kind": "srn", "horizon": str(horizon), "activation": cfg["activation"],
+        "init": init, "seed": str(cfg["seed"]), "repeats": "1",
+    })
+    write_norm_trace_csv(os.path.join(cfg["out_dir"], f"{tag}_delta_trace.csv"), trace)
     save_checkpoint(ckpt_path, net)
     print(
         f"adding T={seq_len} activation={cfg['activation']}: "

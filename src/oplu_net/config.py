@@ -8,6 +8,7 @@ with, so `--show-config` documents a run completely.
 
 import os
 
+from .activations import SCALAR_KINDS
 from .errors import ConfigError
 
 
@@ -70,7 +71,7 @@ SCHEMAS = {
     },
 }
 
-ACTIVATION_CHOICES = ("linear", "relu", "sigmoid", "tanh", "oplu")
+ACTIVATION_CHOICES = SCALAR_KINDS + ("oplu",)
 INIT_CHOICES = ("auto", "xavier", "orthogonal")
 
 

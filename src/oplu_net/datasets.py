@@ -58,10 +58,6 @@ class AddingDataset:
     def sample(self, i: int) -> SequenceSample:
         return SequenceSample(self.inputs[i], self.targets[i])
 
-    @property
-    def samples(self) -> list:
-        return [self.sample(i) for i in range(len(self))]
-
 
 def _read_be32(buf: bytes, offset: int, what: str) -> int:
     if len(buf) < offset + 4:

@@ -195,18 +195,6 @@ def write_norm_trace_csv(path, trace: NormTrace) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def write_bptt_trace_csv(path, trace) -> None:
-    """One BPTT run's delta norms as step_index,l2_norm rows, oldest first.
-
-    Takes the newest-first list that bptt returns.
-    """
-    lines = ["step_index,l2_norm"]
-    for step, norm in enumerate(reversed(list(trace)), start=1):
-        lines.append(f"{step},{float(norm)!r}")
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def assemble_dense_jacobian(net: DenseNet, tape) -> np.ndarray:
     """End-to-end forward Jacobian as the explicit per-layer matrix product.
 

@@ -15,7 +15,6 @@ from .rng import Rng
 
 __all__ = [
     "Rng",
-    "matmul",
     "expm",
     "random_skew_symmetric",
     "random_orthogonal",
@@ -25,17 +24,6 @@ __all__ = [
 ]
 
 DEFAULT_SKEW_SCALE = math.pi
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
 
 
 def expm(s: np.ndarray, taylor_terms: int = 20) -> np.ndarray:

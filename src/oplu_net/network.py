@@ -6,24 +6,16 @@ gradients with respect to presynaptic activations) through transposed
 weight matrices and the activation derivative, which for the pairwise
 permutation unit is the recorded swap permutation itself.
 
-Everything is defined per sample; mini-batch training uses equivalent
-batched matrix routines (checked against the per-sample path in the test
-suite) because that is what makes CPU training of the experiments viable.
+Rows are samples. The forward and backward passes are written once, for a
+batch of rows, so training touches dgemm instead of dgemv; the per-sample
+API that the diagnostics use runs one sample as a batch of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import (
-    Oplu,
-    activation_name,
-    make_activation,
-    oplu_backward,
-    oplu_forward,
-    scalar_derivative,
-    scalar_forward,
-)
+from .activations import activate, activate_backward, check_activation, make_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, random_orthogonal_rect, xavier_init
 
@@ -43,14 +35,7 @@ class DenseLayer:
             raise ShapeError(f"weight matrix must be 2-D, got shape {self.w.shape}")
         if self.b.shape != (self.w.shape[1],):
             raise ShapeError(f"bias shape {self.b.shape} does not match fan_out {self.w.shape[1]}")
-        if isinstance(self.activation, Oplu):
-            if self.activation.scheme.width != self.w.shape[1]:
-                raise ShapeError(
-                    f"oplu pairing covers {self.activation.scheme.width} units "
-                    f"but the layer has {self.w.shape[1]}"
-                )
-        elif self.activation not in ("linear", "relu", "sigmoid", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_activation(self.activation, self.w.shape[1])
 
     @property
     def fan_in(self) -> int:
@@ -104,7 +89,11 @@ class DenseNet:
 
 @dataclass
 class ForwardTape:
-    """Cached activations of one forward pass, consumed by backprop."""
+    """Cached activations of one forward pass, consumed by backprop.
+
+    Every array has one row per sample; dense_forward's tape holds the one
+    row of its sample.
+    """
 
     x: np.ndarray
     presyn: list  # a per layer
@@ -112,9 +101,23 @@ class ForwardTape:
     masks: list  # swap mask per layer, None for scalar activations
 
 
+def _index_tape(tape: ForwardTape, index) -> ForwardTape:
+    """tape with every array indexed by `index`: 0 takes the row of a batch
+    of one, None makes a single sample's tape a batch of one again."""
+    def pick(v):
+        return None if v is None else v[index]
+
+    return ForwardTape(pick(tape.x), [pick(a) for a in tape.presyn],
+                       [pick(z) for z in tape.postsyn], [pick(m) for m in tape.masks])
+
+
 @dataclass
 class Gradients:
-    """Per-layer parameter gradients plus the backpropagated deltas."""
+    """Parameter gradients plus the backpropagated deltas.
+
+    From a batch, the parameter gradients are batch means and the deltas
+    keep one row per sample.
+    """
 
     dw: list
     db: list
@@ -128,16 +131,43 @@ class Gradients:
         return flat
 
 
-def _apply_activation(layer: DenseLayer, a: np.ndarray):
-    if isinstance(layer.activation, Oplu):
-        return oplu_forward(a, layer.activation.scheme)
-    return scalar_forward(layer.activation, a), None
+def _forward_batch(net: DenseNet, x_rows: np.ndarray):
+    """Run the network on a batch of input rows, returning output rows and tape."""
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.ndim != 2 or x_rows.shape[1] != net.input_dim:
+        raise ShapeError(f"batch shape {x_rows.shape} does not match input width {net.input_dim}")
+    presyn, postsyn, masks = [], [], []
+    z = x_rows
+    for idx, layer in enumerate(net.layers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = z @ layer.w + layer.b
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"non-finite presynaptic activation in layer {idx}")
+        z, mask = activate(layer.activation, a)
+        presyn.append(a)
+        postsyn.append(z)
+        masks.append(mask)
+    return z, ForwardTape(x_rows, presyn, postsyn, masks)
 
 
-def _activation_backward(layer: DenseLayer, delta_hat: np.ndarray, a: np.ndarray, mask):
-    if isinstance(layer.activation, Oplu):
-        return oplu_backward(delta_hat, mask, layer.activation.scheme)
-    return delta_hat * scalar_derivative(layer.activation, a)
+def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray) -> Gradients:
+    """Batch-averaged gradients; deltas and input_delta keep one row per sample."""
+    delta_hat = np.asarray(delta_out_rows, dtype=np.float64)
+    batch = delta_hat.shape[0]
+    n_layers = len(net.layers)
+    dw = [None] * n_layers
+    db = [None] * n_layers
+    deltas = [None] * n_layers
+    for n in range(n_layers - 1, -1, -1):
+        layer = net.layers[n]
+        delta = activate_backward(layer.activation, delta_hat, tape.presyn[n], tape.postsyn[n],
+                                  tape.masks[n])
+        z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
+        dw[n] = z_prev.T @ delta / batch
+        db[n] = delta.mean(axis=0)
+        deltas[n] = delta
+        delta_hat = delta @ layer.w.T
+    return Gradients(dw, db, deltas, input_delta=delta_hat)
 
 
 def dense_forward(net: DenseNet, x: np.ndarray):
@@ -145,18 +175,8 @@ def dense_forward(net: DenseNet, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match network input width {net.input_dim}")
-    presyn, postsyn, masks = [], [], []
-    z = x
-    for idx, layer in enumerate(net.layers):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = z @ layer.w + layer.b
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite presynaptic activation in layer {idx}")
-        z, mask = _apply_activation(layer, a)
-        presyn.append(a)
-        postsyn.append(z)
-        masks.append(mask)
-    return z, ForwardTape(x, presyn, postsyn, masks)
+    y, tape = _forward_batch(net, x[None])
+    return y[0], _index_tape(tape, 0)
 
 
 def _softmax(y: np.ndarray) -> np.ndarray:
@@ -184,18 +204,23 @@ def output_delta(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown loss {loss!r}")
 
 
+def _loss_rows(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Loss of each row (of the one sample, for a single output vector)."""
+    if loss == "softmax_xent":
+        shifted = y - y.max(axis=-1, keepdims=True)
+        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return -(target * log_softmax).sum(axis=-1)
+    if loss == "mse":
+        return 0.5 * np.square(y - target).sum(axis=-1)
+    raise ValueError(f"unknown loss {loss!r}")
+
+
 def loss_value(loss: str, y: np.ndarray, target: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
         raise ShapeError(f"output shape {y.shape} does not match target shape {target.shape}")
-    if loss == "softmax_xent":
-        shifted = y - y.max(axis=-1, keepdims=True)
-        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return float(-(target * log_softmax).sum(axis=-1).mean())
-    if loss == "mse":
-        return float(0.5 * np.square(y - target).sum(axis=-1).mean())
-    raise ValueError(f"unknown loss {loss!r}")
+    return float(_loss_rows(loss, y, target).mean())
 
 
 def backprop(net: DenseNet, tape: ForwardTape, delta_out: np.ndarray) -> Gradients:
@@ -211,21 +236,10 @@ def backprop(net: DenseNet, tape: ForwardTape, delta_out: np.ndarray) -> Gradien
         raise ShapeError(
             f"delta shape {delta_hat.shape} does not match network output width {net.output_dim}"
         )
-    n_layers = len(net.layers)
-    if len(tape.presyn) != n_layers:
+    if len(tape.presyn) != len(net.layers):
         raise ValueError("tape does not match network architecture")
-    dw = [None] * n_layers
-    db = [None] * n_layers
-    deltas = [None] * n_layers
-    for n in range(n_layers - 1, -1, -1):
-        layer = net.layers[n]
-        delta = _activation_backward(layer, delta_hat, tape.presyn[n], tape.masks[n])
-        z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
-        dw[n] = np.outer(z_prev, delta)
-        db[n] = delta.copy()
-        deltas[n] = delta
-        delta_hat = delta @ layer.w.T
-    return Gradients(dw, db, deltas, input_delta=delta_hat)
+    grads = _backprop_batch(net, _index_tape(tape, None), delta_hat[None])
+    return Gradients(grads.dw, grads.db, [d[0] for d in grads.deltas], grads.input_delta[0])
 
 
 class SgdMomentum:
@@ -254,63 +268,6 @@ def sgd_step(opt: SgdMomentum, params: list, grads: list) -> list:
         v -= opt.alpha * g
         p += v
     return params
-
-
-# ---------------------------------------------------------------------------
-# Batched internals. Rows are samples. These mirror the per-sample routines
-# exactly (tested), and exist so training touches dgemm instead of dgemv.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _BatchTape:
-    x: np.ndarray
-    presyn: list
-    postsyn: list
-    masks: list
-
-
-def _forward_batch(net: DenseNet, x_rows: np.ndarray):
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.ndim != 2 or x_rows.shape[1] != net.input_dim:
-        raise ShapeError(f"batch shape {x_rows.shape} does not match input width {net.input_dim}")
-    presyn, postsyn, masks = [], [], []
-    z = x_rows
-    for idx, layer in enumerate(net.layers):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = z @ layer.w + layer.b
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite presynaptic activation in layer {idx}")
-        z, mask = _apply_activation(layer, a)
-        presyn.append(a)
-        postsyn.append(z)
-        masks.append(mask)
-    return z, _BatchTape(x_rows, presyn, postsyn, masks)
-
-
-def _backprop_batch(net: DenseNet, tape: _BatchTape, delta_out_rows: np.ndarray) -> Gradients:
-    """Batch-averaged gradients; deltas/input_delta are per-row matrices."""
-    delta_hat = np.asarray(delta_out_rows, dtype=np.float64)
-    batch = delta_hat.shape[0]
-    n_layers = len(net.layers)
-    dw = [None] * n_layers
-    db = [None] * n_layers
-    for n in range(n_layers - 1, -1, -1):
-        layer = net.layers[n]
-        delta = _activation_backward(layer, delta_hat, tape.presyn[n], tape.masks[n])
-        z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
-        dw[n] = z_prev.T @ delta / batch
-        db[n] = delta.mean(axis=0)
-        delta_hat = delta @ layer.w.T
-    return Gradients(dw, db, deltas=[], input_delta=delta_hat)
-
-
-def _loss_rows(loss: str, y_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
-    if loss == "softmax_xent":
-        shifted = y_rows - y_rows.max(axis=1, keepdims=True)
-        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return -(target_rows * log_softmax).sum(axis=1)
-    return 0.5 * np.square(y_rows - target_rows).sum(axis=1)
 
 
 @dataclass
@@ -392,9 +349,3 @@ def init_dense(widths, activation: str, loss: str, init: str, rng: Rng) -> Dense
             raise ValueError(f"unknown init {init!r}")
         layers.append(DenseLayer(w, np.zeros(fan_out), kind))
     return DenseNet(layers, loss)
-
-
-def architecture_summary(net: DenseNet) -> str:
-    widths = [net.input_dim] + [layer.fan_out for layer in net.layers]
-    acts = ",".join(activation_name(layer.activation) for layer in net.layers)
-    return f"{'-'.join(map(str, widths))} [{acts}] loss={net.loss}"

@@ -7,20 +7,17 @@ transposed recurrent matrix and the hidden activation's derivative each
 step; with an orthogonal recurrent matrix and the permutation activation
 both factors preserve the delta norm, so gradients neither vanish nor
 explode no matter how far back they travel.
+
+The forward pass and BPTT are written once, for a batch of sequences that
+share their length; srn_forward and bptt run one sequence as a batch of
+one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import (
-    Oplu,
-    oplu_backward,
-    oplu_forward,
-    oplu_values,
-    scalar_derivative,
-    scalar_forward,
-)
+from .activations import activate, activate_backward, activate_values, check_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, l2_norm, random_orthogonal, random_orthogonal_rect, xavier_init
 
@@ -52,14 +49,7 @@ class Srn:
             raise ShapeError(f"output matrix shape {self.w_out.shape} does not read {h} hidden units")
         if self.b_out.shape != (self.w_out.shape[1],):
             raise ShapeError(f"output bias shape {self.b_out.shape} does not match readout")
-        if isinstance(self.hidden_activation, Oplu):
-            if self.hidden_activation.scheme.width != h:
-                raise ShapeError(
-                    f"oplu pairing covers {self.hidden_activation.scheme.width} units "
-                    f"but the hidden layer has {h}"
-                )
-        elif self.hidden_activation not in ("linear", "relu", "sigmoid", "tanh"):
-            raise ValueError(f"unknown activation {self.hidden_activation!r}")
+        check_activation(self.hidden_activation, h)
         if self.h0 is None:
             self.h0 = np.zeros(h)
         else:
@@ -109,10 +99,16 @@ class BpttConfig:
 
 @dataclass
 class SrnTape:
-    inputs: np.ndarray  # (T, input_dim)
-    presyn: np.ndarray  # (T, hidden)
-    hidden: np.ndarray  # (T+1, hidden), row 0 is h0
-    masks: object  # (T, pairs) bool for oplu, else None
+    """Cached states of one forward pass, time-major.
+
+    From a batch every array has a sample axis after the time axis;
+    srn_forward's tape is the slice of its one sequence.
+    """
+
+    inputs: np.ndarray  # (T, [batch,] input_dim)
+    presyn: np.ndarray  # (T, [batch,] hidden)
+    hidden: np.ndarray  # (T+1, [batch,] hidden), row 0 is h0
+    masks: list  # swap mask per step, None for scalar activations
 
 
 @dataclass
@@ -127,44 +123,90 @@ class SrnGradients:
         return [self.dw_in, self.dw_rec, self.db_h, self.dw_out, self.db_out]
 
 
-def _hidden_step(net: Srn, a: np.ndarray):
-    if isinstance(net.hidden_activation, Oplu):
-        return oplu_forward(a, net.hidden_activation.scheme)
-    return scalar_forward(net.hidden_activation, a), None
+def _srn_forward_batch(net: Srn, inputs: np.ndarray):
+    """inputs shape (batch, T, input_dim) -> (y rows, SrnTape)."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    batch, steps = inputs.shape[0], inputs.shape[1]
+    x = inputs.transpose(1, 0, 2)
+    presyn = np.empty((steps, batch, net.hidden_dim))
+    hidden = np.empty((steps + 1, batch, net.hidden_dim))
+    hidden[0] = net.h0
+    masks = []
+    recurrent = np.empty((batch, net.hidden_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the input terms and the bias of every step in one pass
+        np.matmul(x, net.w_in, out=presyn)
+        presyn += net.b_h
+        for t in range(steps):
+            a = presyn[t]
+            a += np.matmul(hidden[t], net.w_rec, out=recurrent)
+            masks.append(activate(net.hidden_activation, a, out=hidden[t + 1])[1])
+        y = hidden[steps] @ net.w_out + net.b_out
+    # the steps before the first non-finite one come out the same either way,
+    # so one check after the loop names the step a check inside it would
+    finite = np.isfinite(presyn).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
+    if not np.isfinite(y).all():
+        raise NumericError("non-finite readout after the last timestep")
+    return y, SrnTape(x, presyn, hidden, masks)
 
 
-def _hidden_backward(net: Srn, delta_hat: np.ndarray, a: np.ndarray, mask):
-    if isinstance(net.hidden_activation, Oplu):
-        return oplu_backward(delta_hat, mask, net.hidden_activation.scheme)
-    return delta_hat * scalar_derivative(net.hidden_activation, a)
+def _bptt_with_deltas(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
+    """_bptt_batch's gradients and mean loss, plus the hidden deltas:
+    deltas[k, i] belongs to sample i at the k-th of the unrolled steps,
+    oldest first."""
+    y, tape = _srn_forward_batch(net, inputs)
+    steps, batch = tape.presyn.shape[0], tape.presyn.shape[1]
+    unroll = min(steps, horizon)
+    first = steps - unroll  # index of the oldest unrolled step
+    residual = y - np.asarray(targets, dtype=np.float64)
+    deltas = np.empty((unroll, batch, net.hidden_dim))
+    w_rec_t = np.ascontiguousarray(net.w_rec.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the delta recursion, newest step first
+        delta_hat = residual @ net.w_out.T
+        for k in range(unroll - 1, -1, -1):
+            t = first + k
+            activate_backward(net.hidden_activation, delta_hat, tape.presyn[t], tape.hidden[t + 1],
+                              tape.masks[t], out=deltas[k])
+            if k:
+                np.matmul(deltas[k], w_rec_t, out=delta_hat)
+        # shared weights: one product sums each gradient over steps and samples
+        d = deltas.reshape(-1, net.hidden_dim)
+        x_used = tape.inputs[first:].reshape(-1, net.input_dim)
+        grads = SrnGradients(
+            dw_in=x_used.T @ d / batch,
+            dw_rec=tape.hidden[first:steps].reshape(-1, net.hidden_dim).T @ d / batch,
+            db_h=d.sum(axis=0) / batch,
+            dw_out=tape.hidden[steps].T @ residual / batch,
+            db_out=residual.mean(axis=0),
+        )
+        mean_loss = float(0.5 * np.square(residual).sum(axis=1).mean())
+    return grads, mean_loss, deltas
+
+
+def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
+    """Batch-averaged truncated BPTT gradients plus the batch mean loss."""
+    grads, mean_loss, _ = _bptt_with_deltas(net, inputs, targets, horizon)
+    return grads, mean_loss
+
+
+def _batch_of_one(net: Srn, inputs: np.ndarray) -> np.ndarray:
+    """One (T, input_dim) sequence as a batch of one, after checking its shape."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
+        raise ShapeError(f"inputs shape {inputs.shape} does not match input width {net.input_dim}")
+    if inputs.shape[0] < 1:
+        raise ShapeError("need at least one timestep")
+    return inputs[None]
 
 
 def srn_forward(net: Srn, inputs: np.ndarray):
     """Run the recurrence over one sequence and read out the final state."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
-        raise ShapeError(f"inputs shape {inputs.shape} does not match input width {net.input_dim}")
-    steps = inputs.shape[0]
-    if steps < 1:
-        raise ShapeError("need at least one timestep")
-    oplu = isinstance(net.hidden_activation, Oplu)
-    presyn = np.empty((steps, net.hidden_dim))
-    hidden = np.empty((steps + 1, net.hidden_dim))
-    hidden[0] = net.h0
-    masks = np.empty((steps, len(net.hidden_activation.scheme.pairs)), dtype=bool) if oplu else None
-    h = net.h0
-    for t in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = inputs[t] @ net.w_in + h @ net.w_rec + net.b_h
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite hidden state at timestep {t}")
-        h, mask = _hidden_step(net, a)
-        presyn[t] = a
-        hidden[t + 1] = h
-        if oplu:
-            masks[t] = mask
-    y = h @ net.w_out + net.b_out
-    return y, SrnTape(inputs, presyn, hidden, masks)
+    y, tape = _srn_forward_batch(net, _batch_of_one(net, inputs))
+    masks = [None if m is None else m[0] for m in tape.masks]
+    return y[0], SrnTape(tape.inputs[:, 0], tape.presyn[:, 0], tape.hidden[:, 0], masks)
 
 
 def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
@@ -175,31 +217,12 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     delta at each unrolled step, newest first, for gradient-flow
     diagnostics.
     """
-    y, tape = srn_forward(net, sample.inputs)
+    inputs = _batch_of_one(net, sample.inputs)
     target = np.asarray(sample.target, dtype=np.float64)
     if target.shape != (net.output_dim,):
         raise ShapeError(f"target shape {target.shape} does not match output width {net.output_dim}")
-    steps = tape.inputs.shape[0]
-    unroll = min(steps, cfg.horizon)
-    residual = y - target
-    grads = SrnGradients(
-        dw_in=np.zeros_like(net.w_in),
-        dw_rec=np.zeros_like(net.w_rec),
-        db_h=np.zeros_like(net.b_h),
-        dw_out=np.outer(tape.hidden[steps], residual),
-        db_out=residual.copy(),
-    )
-    delta_hat = residual @ net.w_out.T
-    trace = []
-    for t in range(steps, steps - unroll, -1):
-        mask = tape.masks[t - 1] if tape.masks is not None else None
-        delta = _hidden_backward(net, delta_hat, tape.presyn[t - 1], mask)
-        trace.append(l2_norm(delta))
-        grads.dw_in += np.outer(tape.inputs[t - 1], delta)
-        grads.dw_rec += np.outer(tape.hidden[t - 1], delta)
-        grads.db_h += delta
-        delta_hat = delta @ net.w_rec.T
-    return grads, trace
+    grads, _, deltas = _bptt_with_deltas(net, inputs, target[None], cfg.horizon)
+    return grads, [l2_norm(delta[0]) for delta in deltas[::-1]]
 
 
 def sequence_loss(net: Srn, sample: SequenceSample) -> float:
@@ -209,84 +232,11 @@ def sequence_loss(net: Srn, sample: SequenceSample) -> float:
     return float(0.5 * np.dot(diff, diff))
 
 
-# ---------------------------------------------------------------------------
-# Batched training path (rows are samples; all sequences share T).
-# ---------------------------------------------------------------------------
-
-
-def _srn_forward_batch(net: Srn, inputs: np.ndarray):
-    """inputs shape (batch, T, input_dim) -> (y rows, stacked tape arrays)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    batch, steps = inputs.shape[0], inputs.shape[1]
-    oplu = isinstance(net.hidden_activation, Oplu)
-    presyn = np.empty((steps, batch, net.hidden_dim))
-    hidden = np.empty((steps + 1, batch, net.hidden_dim))
-    hidden[0] = net.h0
-    masks = (
-        np.empty((steps, batch, len(net.hidden_activation.scheme.pairs)), dtype=bool)
-        if oplu else None
-    )
-    recurrent = np.empty((batch, net.hidden_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the input terms and the bias of every step in one pass
-        np.matmul(inputs.transpose(1, 0, 2), net.w_in, out=presyn)
-        presyn += net.b_h
-        for t in range(steps):
-            a = presyn[t]
-            a += np.matmul(hidden[t], net.w_rec, out=recurrent)
-            if oplu:
-                oplu_forward(a, net.hidden_activation.scheme, out=hidden[t + 1], mask_out=masks[t])
-            else:
-                scalar_forward(net.hidden_activation, a, out=hidden[t + 1])
-    # the steps before the first non-finite one come out the same either way,
-    # so one check after the loop names the step a check inside it would
-    finite = np.isfinite(presyn).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
-    y = hidden[steps] @ net.w_out + net.b_out
-    return y, inputs, presyn, hidden, masks
-
-
-def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
-    """Batch-averaged truncated BPTT gradients plus the batch mean loss."""
-    y, x, presyn, hidden, masks = _srn_forward_batch(net, inputs)
-    batch, steps = x.shape[0], x.shape[1]
-    unroll = min(steps, horizon)
-    first = steps - unroll  # index of the oldest unrolled step
-    residual = y - np.asarray(targets, dtype=np.float64)
-    # the delta recursion, newest step first; deltas[k] belongs to step first + k
-    deltas = np.empty((unroll, batch, net.hidden_dim))
-    delta_hat = residual @ net.w_out.T
-    w_rec_t = np.ascontiguousarray(net.w_rec.T)
-    for k in range(unroll - 1, -1, -1):
-        t = first + k
-        if masks is not None:
-            oplu_backward(delta_hat, masks[t], net.hidden_activation.scheme, out=deltas[k])
-        else:
-            deriv = scalar_derivative(net.hidden_activation, presyn[t], value=hidden[t + 1])
-            np.multiply(delta_hat, deriv, out=deltas[k])
-        if k:
-            np.matmul(deltas[k], w_rec_t, out=delta_hat)
-    # shared weights: one product sums each gradient over steps and samples
-    d = deltas.reshape(-1, net.hidden_dim)
-    x_used = x[:, first:, :].transpose(1, 0, 2).reshape(-1, net.input_dim)
-    grads = SrnGradients(
-        dw_in=x_used.T @ d / batch,
-        dw_rec=hidden[first:steps].reshape(-1, net.hidden_dim).T @ d / batch,
-        db_h=d.sum(axis=0) / batch,
-        dw_out=hidden[steps].T @ residual / batch,
-        db_out=residual.mean(axis=0),
-    )
-    mean_loss = float(0.5 * np.square(residual).sum(axis=1).mean())
-    return grads, mean_loss
-
-
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
     """The outputs of _srn_forward_batch, computed without keeping its tape
     (and, for oplu, without its swap masks)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     batch, steps = inputs.shape[0], inputs.shape[1]
-    oplu = isinstance(net.hidden_activation, Oplu)
     a = np.empty((batch, net.hidden_dim))
     recurrent = np.empty((batch, net.hidden_dim))
     h = np.empty((batch, net.hidden_dim))
@@ -298,13 +248,11 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
             a += net.b_h
             a += np.matmul(h, net.w_rec, out=recurrent)
             finite[t] = np.isfinite(a).all()
-            if oplu:
-                oplu_values(a, net.hidden_activation.scheme, out=h)
-            else:
-                scalar_forward(net.hidden_activation, a, out=h)
+            activate_values(net.hidden_activation, a, out=h)
+        y = h @ net.w_out + net.b_out
     if not finite.all():
         raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
-    return h @ net.w_out + net.b_out
+    return y
 
 
 def evaluate_adding(net: Srn, dataset, threshold: float, chunk: int = 512):

@@ -103,8 +103,9 @@ class TestRunAdding:
         net = load_checkpoint(report.checkpoint_path)
         assert net.hidden_dim == 8
         trace_lines = open(os.path.join(tmp_path, "adding_oplu_T6_delta_trace.csv")).read().splitlines()
-        assert trace_lines[0] == "step_index,l2_norm"
-        assert len(trace_lines) == 7  # header + one row per unrolled step
+        trace_rows = [line for line in trace_lines if not line.startswith("#")]
+        assert trace_rows[0] == "step,mean_l2_norm"
+        assert len(trace_rows) == 7  # header + one row per unrolled step
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
@@ -160,6 +161,17 @@ class TestRunAdding:
         assert best < 5  # the last completed epoch is not the best
         assert len(open(report.csv_path).read().splitlines()) == 1 + 5
         self._assert_scores_epoch(tmp_path, overrides, report, best)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", ["2", "4"])
+    def test_divergence_raises_no_numpy_warning(self, tmp_path, seed):
+        # both seeds overflow in epoch 1: seed 2 at the readout, seed 4 in
+        # the backward products and the loss
+        report = run_adding(load_config("adding", overrides={
+            "seq_len": "6", "hidden": "8", "alpha": "0.1", "epochs": "5",
+            "iterations_per_epoch": "20", "train_n": "400", "valid_n": "50", "test_n": "50",
+            "seed": seed, "out_dir": str(tmp_path)}))
+        assert report.diverged_at_epoch == 1
 
 
 class TestRunGradDiag:

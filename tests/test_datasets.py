@@ -72,7 +72,6 @@ class TestGenAdding:
         sample = data.sample(2)
         assert np.array_equal(sample.inputs, data.inputs[2])
         assert np.array_equal(sample.target, data.targets[2])
-        assert len(data.samples) == 4
 
 
 class TestSplit:

@@ -10,24 +10,11 @@ from oplu_net import (
     ShapeError,
     expm,
     l2_norm,
-    matmul,
     random_orthogonal,
     random_orthogonal_rect,
     random_skew_symmetric,
     xavier_init,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle, independent of the library path."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def taylor_expm(s, terms=40):
@@ -39,42 +26,6 @@ def taylor_expm(s, terms=40):
         term = term @ s / k
         total = total + term
     return total
-
-
-class TestMatmul:
-    def test_norm_product_counterexample(self):
-        # both factors have operator norm 1 yet the product vanishes
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0, 0.0], [1.0, 0.0]])
-        c = matmul(a, b)
-        assert np.array_equal(c, np.zeros((2, 2)))
-
-    def test_identity(self):
-        m = Rng(5).uniform_array(9, -2, 2).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_against_triple_loop_oracle(self):
-        rng = Rng(11)
-        a = rng.uniform_array(20, -1, 1).reshape(4, 5)
-        b = rng.uniform_array(15, -1, 1).reshape(5, 3)
-        expected = naive_matmul(a, b)
-        got = matmul(a, b)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match="4x5.*3x2"):
-            matmul(np.zeros((4, 5)), np.zeros((3, 2)))
-
-    def test_associativity(self):
-        rng = Rng(2)
-        for _ in range(20):
-            a = rng.uniform_array(12, -1, 1).reshape(3, 4)
-            b = rng.uniform_array(20, -1, 1).reshape(4, 5)
-            c = rng.uniform_array(10, -1, 1).reshape(5, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            rel = np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-300)
-            assert rel <= 1e-10
 
 
 class TestExpm:

@@ -269,6 +269,8 @@ class TestBatchEquivalence:
         ("tanh", "mse"),
         ("oplu", "mse"),
         ("relu", "softmax_xent"),
+        ("sigmoid", "softmax_xent"),
+        ("linear", "mse"),
     ])
     def test_batch_gradients_equal_mean_of_single(self, activation, loss):
         rng = Rng(19)
@@ -281,12 +283,19 @@ class TestBatchEquivalence:
             t_rows = rng.uniform_array(5 * 4, -1, 1).reshape(5, 4)
         y_rows, btape = _forward_batch(net, x_rows)
         batch_grads = _backprop_batch(net, btape, output_delta(loss, y_rows, t_rows))
+        assert len(batch_grads.deltas) == len(net.layers)
 
         summed = None
         for i in range(5):
             y, tape = dense_forward(net, x_rows[i])
             assert np.abs(y - y_rows[i]).max() <= 1e-12
             g = backprop(net, tape, output_delta(loss, y, t_rows[i]))
+            # one sample's delta is its bias gradient, which the
+            # finite-difference oracle pins
+            for single, rows, bias in zip(g.deltas, batch_grads.deltas, g.db):
+                assert np.array_equal(single, bias)
+                assert np.abs(single - rows[i]).max() <= 1e-12
+            assert np.abs(g.input_delta - batch_grads.input_delta[i]).max() <= 1e-12
             if summed is None:
                 summed = [t.copy() for t in g.tensors()]
             else:

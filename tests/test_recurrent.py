@@ -97,7 +97,7 @@ class TestBptt:
         assert np.abs(grads.db_h - dgrads.db[0]).max() <= 1e-14
         assert np.abs(grads.dw_out - dgrads.dw[1]).max() <= 1e-14
         assert np.abs(grads.db_out - dgrads.db[1]).max() <= 1e-14
-        assert len(trace) == 1
+        assert trace == [l2_norm(grads.db_h)]  # the one step's delta is db_h
 
     @pytest.mark.parametrize("activation", ["tanh", "oplu"])
     def test_gradients_match_finite_differences(self, activation):
@@ -187,7 +187,7 @@ class TestBptt:
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("activation", ["tanh", "oplu"])
+    @pytest.mark.parametrize("activation", ["tanh", "oplu", "relu", "sigmoid"])
     def test_batch_bptt_equals_mean_of_single(self, activation):
         init = "orthogonal" if activation == "oplu" else "xavier"
         net = build_srn(6, activation, init=init, seed=21)
