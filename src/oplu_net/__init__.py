@@ -9,7 +9,6 @@ the classification and adding-task experiments.
 """
 
 from .activations import (
-    Oplu,
     PairingScheme,
     make_activation,
     materialize_permutation,

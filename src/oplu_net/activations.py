@@ -7,8 +7,8 @@ pairwise permutation activation routes each pair of presynaptic values to
 backward pass is the same permutation applied to the incoming deltas:
 no scaling of the gradient ever happens inside the activation.
 
-A kind is one of the scalar names or an Oplu; models hand it to activate,
-activate_values and activate_backward and never branch on it themselves.
+A kind is one of the scalar names or a PairingScheme; models hand it to
+activate and activate_backward and never branch on it themselves.
 """
 
 import numpy as np
@@ -19,7 +19,10 @@ SCALAR_KINDS = ("linear", "relu", "sigmoid", "tanh")
 
 
 class PairingScheme:
-    """Perfect matching of the indices 0..width-1 into ordered pairs."""
+    """Perfect matching of the indices 0..width-1 into ordered pairs.
+
+    As an activation kind it is the pairwise permutation unit over those pairs.
+    """
 
     def __init__(self, pairs):
         pairs = tuple((int(i), int(j)) for i, j in pairs)
@@ -63,27 +66,10 @@ class PairingScheme:
         return f"PairingScheme({list(self.pairs)!r})"
 
 
-class Oplu:
-    """Activation kind for the pairwise permutation unit."""
-
-    def __init__(self, scheme: PairingScheme):
-        self.scheme = scheme
-
-    def __eq__(self, other):
-        return isinstance(other, Oplu) and self.scheme == other.scheme
-
-    def __repr__(self):
-        return f"Oplu({self.scheme!r})"
-
-
-# ActivationKind: one of the strings in SCALAR_KINDS, or an Oplu instance.
-ActivationKind = "str | Oplu"
-
-
 def make_activation(name: str, width: int):
     """Activation kind from its serialized name, defaulting oplu to adjacent pairs."""
     if name == "oplu":
-        return Oplu(PairingScheme.adjacent(width))
+        return PairingScheme.adjacent(width)
     if name not in SCALAR_KINDS:
         raise ValueError(f"unknown activation {name!r}")
     return name
@@ -91,19 +77,17 @@ def make_activation(name: str, width: int):
 
 def check_activation(kind, width: int) -> None:
     """Reject anything but a scalar kind name or a pairing over `width` units."""
-    if isinstance(kind, Oplu):
-        if kind.scheme.width != width:
-            raise ShapeError(
-                f"oplu pairing covers {kind.scheme.width} units but the layer has {width}"
-            )
+    if isinstance(kind, PairingScheme):
+        if kind.width != width:
+            raise ShapeError(f"oplu pairing covers {kind.width} units but the layer has {width}")
     elif kind not in SCALAR_KINDS:
         raise ValueError(f"unknown activation {kind!r}")
 
 
 def activation_token(kind) -> str:
     """The checkpoint form of a kind: its name, and for oplu its pairs as i:j entries."""
-    if isinstance(kind, Oplu):
-        return "oplu " + ",".join(f"{i}:{j}" for i, j in kind.scheme.pairs)
+    if isinstance(kind, PairingScheme):
+        return "oplu " + ",".join(f"{i}:{j}" for i, j in kind.pairs)
     return kind
 
 
@@ -114,29 +98,26 @@ def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None, mask_out=None):
     a pair is swapped exactly when its first entry is strictly smaller, so
     ties leave the order unchanged. Accepts a batch of rows as well as a
     single vector. The values and the mask are written into `out` and
-    `mask_out` when those are given.
+    `mask_out` when those are given; `out` may be `a` itself.
+
+    The values come from np.maximum/np.minimum and compare equal to the
+    mask's selection everywhere; only on a tie between -0.0 and +0.0 may
+    numpy give both entries one sign of zero (numpy 2.4 returns the second
+    entry twice). The mask, and with it the backward pass, follows the
+    strict-less rule in every case.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] != scheme.width:
         raise ShapeError(f"input width {a.shape[-1]} does not match pairing over {scheme.width}")
     first, second = scheme._members
+    if out is None:
+        out = np.empty_like(a)
+    # the mask and the max are taken before `out`, which may alias `a`, is written
     mask = np.less(a[..., first], a[..., second], out=mask_out)
-    return _swap_pairs(a, mask, scheme, out), mask
-
-
-def oplu_values(a: np.ndarray, scheme: PairingScheme, out: np.ndarray) -> np.ndarray:
-    """oplu_forward's values without the swap mask, written into `out`.
-
-    Each pair's max goes to its first member and its min to the second.
-    For finite inputs this equals oplu_forward, except that a tie between
-    -0.0 and +0.0 may come out in either order. Without the mask's
-    selection it is several times faster on wide batches.
-    """
-    first, second = scheme._members
     high = np.maximum(a[..., first], a[..., second])
     out[..., second] = np.minimum(a[..., first], a[..., second])
     out[..., first] = high
-    return out
+    return out, mask
 
 
 def oplu_backward(delta_hat: np.ndarray, mask: np.ndarray, scheme: PairingScheme,
@@ -155,16 +136,11 @@ def oplu_backward(delta_hat: np.ndarray, mask: np.ndarray, scheme: PairingScheme
         )
     if mask.shape != delta_hat.shape[:-1] + (len(scheme.pairs),):
         raise ShapeError(f"swap mask shape {mask.shape} does not match {len(scheme.pairs)} pairs")
-    return _swap_pairs(delta_hat, mask, scheme, out)
-
-
-def _swap_pairs(x: np.ndarray, mask: np.ndarray, scheme: PairingScheme, out) -> np.ndarray:
-    """x with the two entries of each pair exchanged where mask is set."""
     first, second = scheme._members
     if out is None:
-        out = np.empty_like(x)
-    new_first = np.where(mask, x[..., second], x[..., first])
-    out[..., second] = np.where(mask, x[..., first], x[..., second])
+        out = np.empty_like(delta_hat)
+    new_first = np.where(mask, delta_hat[..., second], delta_hat[..., first])
+    out[..., second] = np.where(mask, delta_hat[..., first], delta_hat[..., second])
     out[..., first] = new_first
     return out
 
@@ -195,7 +171,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_scalar_kind(kind):
-    if isinstance(kind, Oplu) or kind == "oplu":
+    if isinstance(kind, PairingScheme) or kind == "oplu":
         raise ValueError("oplu is pairwise; use oplu_forward/oplu_backward")
     if kind not in SCALAR_KINDS:
         raise ValueError(f"unknown activation {kind!r}")
@@ -240,23 +216,15 @@ def scalar_derivative(kind, a: np.ndarray, value=None) -> np.ndarray:
 def activate(kind, a: np.ndarray, out=None):
     """Activation values at the presynaptic input, written into `out` when
     given, and the swap mask (None for scalar kinds)."""
-    if isinstance(kind, Oplu):
-        return oplu_forward(a, kind.scheme, out=out)
+    if isinstance(kind, PairingScheme):
+        return oplu_forward(a, kind, out=out)
     return scalar_forward(kind, a, out=out), None
-
-
-def activate_values(kind, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """activate's values alone, written into `out`; oplu pairs go through
-    oplu_values, so a -0.0/+0.0 tie may come out in either order."""
-    if isinstance(kind, Oplu):
-        return oplu_values(a, kind.scheme, out)
-    return scalar_forward(kind, a, out=out)
 
 
 def activate_backward(kind, delta_hat: np.ndarray, a: np.ndarray, z: np.ndarray, mask,
                       out=None) -> np.ndarray:
     """Deltas with respect to the presynaptic input `a`, given those with
     respect to the values `z` and `mask` that activate returned for it."""
-    if isinstance(kind, Oplu):
-        return oplu_backward(delta_hat, mask, kind.scheme, out=out)
+    if isinstance(kind, PairingScheme):
+        return oplu_backward(delta_hat, mask, kind, out=out)
     return np.multiply(delta_hat, scalar_derivative(kind, a, value=z), out=out)

@@ -32,7 +32,7 @@ entries, so a reloaded model applies exactly the same permutations.
 
 import numpy as np
 
-from .activations import SCALAR_KINDS, Oplu, PairingScheme, activation_token
+from .activations import SCALAR_KINDS, PairingScheme, activation_token
 from .errors import ParseError
 from .network import DenseLayer, DenseNet
 from .recurrent import Srn
@@ -47,7 +47,7 @@ def _parse_activation(token: str, offset: int):
             raise ParseError("oplu activation needs its pairing list", offset=offset)
         try:
             pairs = [tuple(int(v) for v in item.split(":")) for item in parts[1].split(",")]
-            return Oplu(PairingScheme(pairs))
+            return PairingScheme(pairs)
         except ValueError as exc:
             raise ParseError(f"bad oplu pairing: {exc}", offset=offset) from None
     if len(parts) != 1 or parts[0] not in SCALAR_KINDS:

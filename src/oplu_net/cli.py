@@ -166,7 +166,7 @@ def run_adding(cfg: dict) -> AddingReport:
         try:
             for it in range(cfg["iterations_per_epoch"]):
                 idx = [order[(it * batch + k) % n_train] for k in range(batch)]
-                grads, batch_loss = _bptt_batch(net, train.inputs[idx], train.targets[idx], horizon)
+                grads, batch_loss, _ = _bptt_batch(net, train.inputs[idx], train.targets[idx], horizon)
                 sgd_step(opt, params, grads.tensors())
                 epoch_loss += batch_loss
             valid_mse, _ = evaluate_adding(net, valid, cfg["threshold"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import Oplu
+from .activations import PairingScheme
 from .errors import ShapeError
 from .linalg import Rng, l2_norm
 from .network import DenseNet, backprop, dense_forward, loss_value, output_delta
@@ -115,8 +115,8 @@ def min_nonsmooth_gap(model, sample) -> float:
     def scan(kind, presyn_rows):
         nonlocal gap
         rows = np.atleast_2d(presyn_rows)
-        if isinstance(kind, Oplu):
-            diff = np.abs(rows[:, kind.scheme._first] - rows[:, kind.scheme._second])
+        if isinstance(kind, PairingScheme):
+            diff = np.abs(rows[:, kind._first] - rows[:, kind._second])
             gap = min(gap, float(diff.min()))
         elif kind == "relu":
             gap = min(gap, float(np.abs(rows).min()))
@@ -206,8 +206,8 @@ def assemble_dense_jacobian(net: DenseNet, tape) -> np.ndarray:
 
     m = np.eye(net.input_dim)
     for layer, a, mask in zip(net.layers, tape.presyn, tape.masks):
-        if isinstance(layer.activation, Oplu):
-            act_jac = materialize_permutation(mask, layer.activation.scheme)
+        if isinstance(layer.activation, PairingScheme):
+            act_jac = materialize_permutation(mask, layer.activation)
         else:
             act_jac = np.diag(sd(layer.activation, a))
         m = m @ layer.w @ act_jac

@@ -26,7 +26,7 @@ LOSS_KINDS = ("mse", "softmax_xent")
 class DenseLayer:
     w: np.ndarray
     b: np.ndarray
-    activation: object  # ActivationKind
+    activation: object  # a name in SCALAR_KINDS or a PairingScheme
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import activate, activate_backward, activate_values, check_activation
+from .activations import activate, activate_backward, check_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, l2_norm, random_orthogonal, random_orthogonal_rect, xavier_init
 
@@ -152,10 +152,10 @@ def _srn_forward_batch(net: Srn, inputs: np.ndarray):
     return y, SrnTape(x, presyn, hidden, masks)
 
 
-def _bptt_with_deltas(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
-    """_bptt_batch's gradients and mean loss, plus the hidden deltas:
-    deltas[k, i] belongs to sample i at the k-th of the unrolled steps,
-    oldest first."""
+def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
+    """Batch-averaged truncated BPTT gradients, the batch mean loss and the
+    hidden deltas: deltas[k, i] belongs to sample i at the k-th of the
+    unrolled steps, oldest first."""
     y, tape = _srn_forward_batch(net, inputs)
     steps, batch = tape.presyn.shape[0], tape.presyn.shape[1]
     unroll = min(steps, horizon)
@@ -184,12 +184,6 @@ def _bptt_with_deltas(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon
         )
         mean_loss = float(0.5 * np.square(residual).sum(axis=1).mean())
     return grads, mean_loss, deltas
-
-
-def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
-    """Batch-averaged truncated BPTT gradients plus the batch mean loss."""
-    grads, mean_loss, _ = _bptt_with_deltas(net, inputs, targets, horizon)
-    return grads, mean_loss
 
 
 def _batch_of_one(net: Srn, inputs: np.ndarray) -> np.ndarray:
@@ -221,7 +215,7 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     target = np.asarray(sample.target, dtype=np.float64)
     if target.shape != (net.output_dim,):
         raise ShapeError(f"target shape {target.shape} does not match output width {net.output_dim}")
-    grads, _, deltas = _bptt_with_deltas(net, inputs, target[None], cfg.horizon)
+    grads, _, deltas = _bptt_batch(net, inputs, target[None], cfg.horizon)
     return grads, [l2_norm(delta[0]) for delta in deltas[::-1]]
 
 
@@ -233,8 +227,9 @@ def sequence_loss(net: Srn, sample: SequenceSample) -> float:
 
 
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
-    """The outputs of _srn_forward_batch, computed without keeping its tape
-    (and, for oplu, without its swap masks)."""
+    """The outputs of _srn_forward_batch, computed without keeping its tape:
+    each step's hidden state overwrites the last, and oplu swap masks are
+    computed and discarded."""
     inputs = np.asarray(inputs, dtype=np.float64)
     batch, steps = inputs.shape[0], inputs.shape[1]
     a = np.empty((batch, net.hidden_dim))
@@ -248,7 +243,7 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
             a += net.b_h
             a += np.matmul(h, net.w_rec, out=recurrent)
             finite[t] = np.isfinite(a).all()
-            activate_values(net.hidden_activation, a, out=h)
+            activate(net.hidden_activation, a, out=h)
         y = h @ net.w_out + net.b_out
     if not finite.all():
         raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")

@@ -16,14 +16,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import build_srn, orthogonal_oplu_net, smooth_mlp_sample, smooth_srn_sample
+from conftest import build_srn, orthogonal_oplu_net, smooth_srn_sample
 from oplu_net import (
     DenseLayer,
     DenseNet,
     ParseError,
     Rng,
     SequenceSample,
-    Srn,
     backprop,
     bptt,
     BpttConfig,
@@ -44,7 +43,6 @@ from oplu_net import (
     trace_delta_norms,
     write_idx_images,
     write_idx_labels,
-    xavier_init,
 )
 from oplu_net.activations import PairingScheme, make_activation
 from oplu_net.cli import run_adding, run_grad_diag, run_mnist

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import build_mlp, build_srn
 from oplu_net import ParseError, Rng, load_checkpoint, save_checkpoint
-from oplu_net.activations import Oplu
+from oplu_net.activations import PairingScheme
 
 
 def assert_same_tensors(a, b):
@@ -26,8 +26,8 @@ class TestRoundTrip:
         back = load_checkpoint(path)
         assert_same_tensors(net, back)
         assert back.loss == "mse"
-        assert isinstance(back.layers[0].activation, Oplu)
-        assert back.layers[0].activation.scheme == net.layers[0].activation.scheme
+        assert isinstance(back.layers[0].activation, PairingScheme)
+        assert back.layers[0].activation == net.layers[0].activation
         # saving the reloaded model reproduces the file byte for byte
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(path2, back)
@@ -41,7 +41,7 @@ class TestRoundTrip:
         back = load_checkpoint(path)
         assert_same_tensors(net, back)
         assert np.array_equal(back.h0, net.h0)
-        assert back.hidden_activation.scheme == net.hidden_activation.scheme
+        assert back.hidden_activation == net.hidden_activation
 
     def test_softmax_net(self, tmp_path):
         net = build_mlp([4, 6, 3], "relu", loss="softmax_xent", seed=4)

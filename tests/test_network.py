@@ -17,11 +17,9 @@ from oplu_net import (
     l2_norm,
     loss_value,
     output_delta,
-    random_orthogonal,
     sgd_step,
     train_epoch,
 )
-from oplu_net.activations import make_activation
 from oplu_net.network import _backprop_batch, _forward_batch
 
 

@@ -195,7 +195,7 @@ class TestBatchEquivalence:
         batch, steps = 4, 7
         inputs = rng.uniform_array(batch * steps * 2).reshape(batch, steps, 2)
         targets = rng.uniform_array(batch).reshape(batch, 1)
-        batch_grads, batch_loss = _bptt_batch(net, inputs, targets, steps)
+        batch_grads, batch_loss, _ = _bptt_batch(net, inputs, targets, steps)
 
         summed = None
         loss_sum = 0.0
