@@ -119,7 +119,11 @@ def _parse_int(text: str, offset: int, what: str) -> int:
 
 
 def load_checkpoint(path):
-    """Reload a dense or recurrent model, bit-for-bit."""
+    """Reload a dense or recurrent model, bit-for-bit.
+
+    Rejects with a positioned ParseError any byte after the payload and any
+    NaN or infinite tensor value.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     reader = _HeaderReader(buf)
@@ -189,16 +193,22 @@ def load_checkpoint(path):
             f"payload truncated: need {need} bytes after the header, found {len(payload)}",
             offset=len(buf),
         )
+    if len(payload) > need:
+        raise ParseError(
+            f"{len(payload) - need} trailing bytes after the {need}-byte payload",
+            offset=reader.pos + need,
+        )
+    values = np.frombuffer(payload, dtype="<f8")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError(f"non-finite tensor value {values[bad]!r}", offset=reader.pos + 8 * bad)
     arrays = []
     cursor = 0
     for shape in shapes:
         count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(payload, dtype="<f8", count=count, offset=cursor)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        cursor += count * 8
+        arrays.append(values[cursor:cursor + count].astype(np.float64).reshape(shape))
+        cursor += count
 
     if kind == "dense":
         layers = [

@@ -7,6 +7,7 @@ with, so `--show-config` documents a run completely.
 """
 
 import os
+import re
 
 from .activations import SCALAR_KINDS
 from .errors import ConfigError
@@ -81,12 +82,21 @@ def default_config(kind: str) -> dict:
     return {key: default for key, (_, default) in SCHEMAS[kind].items()}
 
 
+# a '#' at the start of a line or after whitespace; one inside a value stays
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines; '#' starts a comment."""
+    """Read flat `key = value` lines.
+
+    A '#' starts a comment when it begins the line or follows whitespace,
+    so `alpha = 0.01  # step` sets 0.01 while `out_dir = runs/#1` keeps its
+    '#'.
+    """
     raw = {}
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = _COMMENT.split(line, 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:

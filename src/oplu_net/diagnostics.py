@@ -14,8 +14,12 @@ import numpy as np
 from .activations import PairingScheme
 from .errors import ShapeError
 from .linalg import Rng, l2_norm
-from .network import DenseNet, backprop, dense_forward, loss_value, output_delta
-from .recurrent import BpttConfig, SequenceSample, Srn, bptt, sequence_loss, srn_forward
+from .network import (DenseNet, _backprop_batch, _forward_batch, backprop, dense_forward,
+                      loss_value, output_delta)
+from .recurrent import BpttConfig, SequenceSample, Srn, _bptt_batch, bptt, sequence_loss, srn_forward
+
+# Tape memory that one pass of trace_delta_norms may hold, in bytes.
+TRACE_TAPE_BYTES = 1 << 20
 
 
 @dataclass
@@ -141,6 +145,10 @@ def draw_smooth_sample(model, rng: Rng, make_sample, min_gap: float = 1e-3, atte
     raise RuntimeError(f"could not find a sample with kink gap > {min_gap} in {attempts} tries")
 
 
+def _rows_per_pass(row_bytes: int) -> int:
+    return max(1, TRACE_TAPE_BYTES // row_bytes)
+
+
 def _random_target(model, rng: Rng) -> np.ndarray:
     if isinstance(model, Srn):
         return rng.uniform_array(model.output_dim)
@@ -158,30 +166,51 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     input width otherwise); each repeat redraws inputs uniform in [0, 1]
     and a fresh random target. Trace entries run oldest step (or first
     layer) to newest.
+
+    The repeats run through the batched backward pass in passes of as many
+    rows as fit in TRACE_TAPE_BYTES of tape, so peak memory stays the same
+    however many repeats are asked for. Each repeat still draws its inputs
+    and then its target from rng, and its norms join the sum in repeat
+    order, so the random stream is the same for any pass size; only the
+    matrix products, whose summation order depends on the number of rows
+    in a pass, can move the trace in the last bits.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if isinstance(model, Srn):
         steps = sample.inputs.shape[0]
-        total = np.zeros(steps)
-        for _ in range(repeats):
+        # presyn, hidden states and deltas: steps x hidden floats each
+        rows = _rows_per_pass(3 * steps * model.hidden_dim * 8)
+
+        def draw():
             inputs = rng.uniform_array(steps * model.input_dim).reshape(steps, model.input_dim)
-            fresh = SequenceSample(inputs, _random_target(model, rng))
-            _, trace = bptt(model, fresh, BpttConfig(horizon=steps))
-            total += np.asarray(trace)[::-1]  # bptt reports newest first
+            return inputs, _random_target(model, rng)
+
+        def deltas(inputs, targets):
+            return _bptt_batch(model, inputs, targets, steps)[2]  # deltas[k, i], oldest step first
+
         labels = [str(t) for t in range(1, steps + 1)]
         meta = {"kind": "srn", "horizon": str(steps)}
     else:
+        # presyn, postsyn and delta rows of every layer
+        rows = _rows_per_pass(3 * sum(layer.fan_out for layer in model.layers) * 8)
+
+        def draw():
+            return rng.uniform_array(model.input_dim), _random_target(model, rng)
+
+        def deltas(x, targets):
+            y, tape = _forward_batch(model, x)
+            return _backprop_batch(model, tape, output_delta(model.loss, y, targets)).deltas
+
         depth = len(model.layers)
-        total = np.zeros(depth)
-        for _ in range(repeats):
-            x = rng.uniform_array(model.input_dim)
-            target = _random_target(model, rng)
-            y, tape = dense_forward(model, x)
-            grads = backprop(model, tape, output_delta(model.loss, y, target))
-            total += np.asarray([l2_norm(d) for d in grads.deltas])
         labels = [str(n) for n in range(1, depth + 1)]
         meta = {"kind": "dense", "depth": str(depth)}
+    total = np.zeros(len(labels))
+    for start in range(0, repeats, rows):
+        inputs, targets = zip(*[draw() for _ in range(min(rows, repeats - start))])
+        stages = deltas(np.stack(inputs), np.stack(targets))  # per timestep or layer
+        for i in range(len(inputs)):
+            total += np.asarray([l2_norm(stage[i]) for stage in stages])
     return NormTrace(labels, [float(v) for v in total / repeats], meta)
 
 

@@ -98,6 +98,10 @@ def l2_norm(v: np.ndarray) -> float:
 
     math.fsum makes the sum of squares independent of element order, so
     permuting a vector never changes its norm, not even in the last bit.
+    The squares come from one numpy pass: an IEEE product rounds the same
+    in numpy as in Python, and a square that overflows is inf either way.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
-    return math.sqrt(math.fsum(float(x) * float(x) for x in v))
+    with np.errstate(over="ignore"):
+        squares = np.square(v)
+    return math.sqrt(math.fsum(squares.tolist()))

@@ -76,6 +76,28 @@ class TestRejections:
         assert "truncated" in str(err.value)
         assert err.value.offset is not None
 
+    def test_trailing_bytes_report_first_extra_offset(self, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(ParseError, match="trailing") as err:
+            load_checkpoint(bad)
+        assert err.value.offset == len(raw)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_reports_its_offset(self, tmp_path, value):
+        path = self.make_checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # layer0.b, the second tensor, starts 4x4 values into the payload
+        at = raw.index(b"end\n") + 4 + 8 * (16 + 2)
+        raw[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_checkpoint(bad)
+        assert err.value.offset == at
+
     def test_truncated_header(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         bad = tmp_path / "hdr.ckpt"
@@ -111,8 +133,8 @@ class TestRejections:
         raw = raw.replace(b"layer 1 4 2 linear", b"layer 1 5 2 linear", 1)
         raw = raw.replace(b"tensor layer1.w 4 2", b"tensor layer1.w 5 2", 1)
         bad = tmp_path / "oddw.ckpt"
-        bad.write_bytes(raw + bytes(8 * 8))  # pad so the payload is long enough
-        with pytest.raises(ValueError):
+        bad.write_bytes(raw + bytes(7 * 8))  # the 7 values the wider layer adds
+        with pytest.raises(ValueError, match="pairing covers 4 units"):
             load_checkpoint(bad)
 
     def test_malformed_pairing_rejected(self, tmp_path):

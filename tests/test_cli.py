@@ -49,6 +49,13 @@ class TestConfig:
         assert cfg["alpha"] == 0.002
         assert cfg["epochs"] == 3
 
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("out_dir = runs/#1\n\t# tab-indented comment\nseed = 4\t# after a tab\n")
+        cfg = load_config("adding", cfg_file)
+        assert cfg["out_dir"] == "runs/#1"
+        assert cfg["seed"] == 4
+
     def test_unknown_key_in_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("learning_rate = 0.1\n")

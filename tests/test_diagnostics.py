@@ -3,10 +3,12 @@ import pytest
 
 from conftest import build_mlp, build_srn, orthogonal_oplu_net, smooth_mlp_sample, smooth_srn_sample
 from oplu_net import (
+    BpttConfig,
     NormTrace,
     Rng,
     SequenceSample,
     backprop,
+    bptt,
     dense_forward,
     finite_diff_grad,
     l2_norm,
@@ -15,6 +17,7 @@ from oplu_net import (
     trace_delta_norms,
     write_norm_trace_csv,
 )
+from oplu_net import diagnostics
 from oplu_net.diagnostics import assemble_dense_jacobian
 
 
@@ -111,6 +114,85 @@ class TestTraceDeltaNorms:
         norms = np.asarray(trace.norms)
         # all-orthogonal pairwise net: every layer sees the same delta norm
         assert norms.max() / norms.min() <= 1 + 1e-8
+
+
+def _spy_batches(monkeypatch, name):
+    """Record the row count of every call to diagnostics.<name>(net, rows, ...)."""
+    calls = []
+    real = getattr(diagnostics, name)
+
+    def spy(net, rows, *args):
+        calls.append(len(rows))
+        return real(net, rows, *args)
+
+    monkeypatch.setattr(diagnostics, name, spy)
+    return calls
+
+
+# with a budget of three rows: fewer repeats than a pass holds, an exact
+# multiple of it, and a partial last pass
+PASSES = [(2, [2]), (6, [3, 3]), (7, [3, 3, 1])]
+
+
+class TestBatchedTraceReplay:
+    """trace_delta_norms against a replay of its random stream, one repeat
+    at a time through the per-sample bptt or dense_forward/backprop."""
+
+    @pytest.mark.parametrize("repeats,passes", PASSES)
+    def test_srn_matches_per_sequence_bptt(self, monkeypatch, repeats, passes):
+        steps, hidden = 6, 8
+        net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * steps * hidden * 8))
+        calls = _spy_batches(monkeypatch, "_bptt_batch")
+        template = SequenceSample(np.zeros((steps, 2)), np.zeros(1))
+        rng = Rng(40)
+        trace = trace_delta_norms(net, template, repeats, rng)
+        assert calls == passes
+
+        replay = Rng(40)
+        total = np.zeros(steps)
+        for _ in range(repeats):
+            inputs = replay.uniform_array(steps * 2).reshape(steps, 2)
+            target = replay.uniform_array(1)
+            _, norms = bptt(net, SequenceSample(inputs, target), BpttConfig(steps))
+            total += np.asarray(norms)[::-1]
+        expected = total / repeats
+        assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
+        assert rng.next_u64() == replay.next_u64()
+
+    @pytest.mark.parametrize("loss", ["softmax_xent", "mse"])
+    @pytest.mark.parametrize("repeats,passes", PASSES)
+    def test_dense_matches_per_sample_backprop(self, monkeypatch, loss, repeats, passes):
+        net = build_mlp([5, 6, 6, 4], "oplu", loss=loss, seed=18)
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * (6 + 6 + 4) * 8))
+        calls = _spy_batches(monkeypatch, "_forward_batch")
+        rng = Rng(41)
+        trace = trace_delta_norms(net, (np.zeros(5), np.zeros(4)), repeats, rng)
+        assert calls == passes
+
+        replay = Rng(41)
+        total = np.zeros(3)
+        for _ in range(repeats):
+            x = replay.uniform_array(5)
+            if loss == "softmax_xent":
+                target = np.zeros(4)
+                target[replay.randint(4)] = 1.0
+            else:
+                target = replay.uniform_array(4)
+            y, tape = dense_forward(net, x)
+            grads = backprop(net, tape, output_delta(loss, y, target))
+            total += np.asarray([l2_norm(d) for d in grads.deltas])
+        expected = total / repeats
+        assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
+        assert rng.next_u64() == replay.next_u64()
+
+    def test_pass_size_at_grad_diag_scale(self, monkeypatch):
+        # 100 steps of 100 hidden units keep 240,000 tape bytes a row
+        calls = _spy_batches(monkeypatch, "_bptt_batch")
+        net = build_srn(100, "oplu", init="orthogonal", seed=19)
+        template = SequenceSample(np.zeros((100, 2)), np.zeros(1))
+        trace_delta_norms(net, template, 9, Rng(42))
+        assert calls == [4, 4, 1]
 
 
 class TestJacobianAssembly:

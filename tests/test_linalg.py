@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,27 @@ class TestL2Norm:
     def test_permutation_invariance(self, values):
         v = np.array(values)
         assert l2_norm(v) == l2_norm(v[::-1])
+
+    def test_bit_equal_to_scalar_squares(self):
+        # oracle: each square as a Python float product, then fsum
+        def scalar_norm(v):
+            return math.sqrt(math.fsum(float(x) * float(x) for x in v))
+
+        rng = Rng(31)
+        for n in (1, 2, 7, 100, 301):
+            for scale in (1e-160, 1e-3, 1.0, 1e5, 1e150):
+                v = rng.uniform_array(n, -scale, scale)
+                order = list(range(n))
+                rng.shuffle(order)
+                for w in (v, v[order], v.reshape(1, n)):
+                    assert l2_norm(w) == scalar_norm(w.ravel())
+        tiny = np.array([5e-324, -2.5e-310, 1e-300])
+        assert l2_norm(tiny) == scalar_norm(tiny)
+
+    def test_overflowing_square_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l2_norm(np.array([1e200, 1.0])) == math.inf
 
 
 class TestRng:
