@@ -30,11 +30,13 @@ Pairwise activations serialize their pairing as comma-separated i:j
 entries, so a reloaded model applies exactly the same permutations.
 """
 
+import math
+
 import numpy as np
 
 from .activations import SCALAR_KINDS, PairingScheme, activation_token
 from .errors import ParseError
-from .network import DenseLayer, DenseNet
+from .network import LOSS_KINDS, DenseLayer, DenseNet
 from .recurrent import Srn
 
 FORMAT_LINE = "OPLU-CKPT 1"
@@ -112,17 +114,31 @@ class _HeaderReader:
 
 
 def _parse_int(text: str, offset: int, what: str) -> int:
+    """A plain decimal count, the only form save_checkpoint writes: int()
+    alone would also take a sign, spaces and underscores."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} {text!r}", offset=offset)
+
+
+def _build(offset: int, make, *args):
+    """make(*args), with a ShapeError or ValueError it raises turned into a
+    ParseError at the header line that declared the rejected part."""
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}", offset=offset) from None
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), offset=offset) from None
 
 
 def load_checkpoint(path):
     """Reload a dense or recurrent model, bit-for-bit.
 
-    Rejects with a positioned ParseError any byte after the payload and any
-    NaN or infinite tensor value.
+    Rejects with a positioned ParseError any byte after the payload, any
+    NaN or infinite tensor value, and any header the model constructors
+    refuse.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -133,9 +149,13 @@ def load_checkpoint(path):
     (kind,), kind_off = reader.expect_fields("model", 1)
 
     if kind == "dense":
-        (loss,), _ = reader.expect_fields("loss", 1)
+        (loss,), off = reader.expect_fields("loss", 1)
+        if loss not in LOSS_KINDS:
+            raise ParseError(f"unknown loss {loss!r}", offset=off)
         (layer_count,), off = reader.expect_fields("layers", 1)
         n_layers = _parse_int(layer_count, off, "layer count")
+        if n_layers < 1:
+            raise ParseError(f"a network needs at least one layer, got {n_layers}", offset=off)
         layer_specs = []
         for idx in range(n_layers):
             fields, off = reader.expect_fields("layer", None)
@@ -143,10 +163,14 @@ def load_checkpoint(path):
                 raise ParseError(f"bad layer line for layer {idx}", offset=off)
             fan_in = _parse_int(fields[1], off, "fan_in")
             fan_out = _parse_int(fields[2], off, "fan_out")
+            if idx and fan_in != layer_specs[-1][1]:
+                raise ParseError(
+                    f"layer widths do not chain: {layer_specs[-1][1]} feeds {fan_in}", offset=off
+                )
             act = _parse_activation(" ".join(fields[3:]), off)
-            layer_specs.append((fan_in, fan_out, act))
+            layer_specs.append((fan_in, fan_out, act, off))
         expected_tensors = []
-        for idx, (fan_in, fan_out, _) in enumerate(layer_specs):
+        for idx, (fan_in, fan_out, *_) in enumerate(layer_specs):
             expected_tensors.append((f"layer{idx}.w", (fan_in, fan_out)))
             expected_tensors.append((f"layer{idx}.b", (fan_out,)))
     elif kind == "srn":
@@ -154,8 +178,8 @@ def load_checkpoint(path):
         input_dim = _parse_int(fields[0], off, "input dim")
         hidden = _parse_int(fields[1], off, "hidden dim")
         output_dim = _parse_int(fields[2], off, "output dim")
-        fields, off = reader.expect_fields("activation", None)
-        act = _parse_activation(" ".join(fields), off)
+        fields, act_off = reader.expect_fields("activation", None)
+        act = _parse_activation(" ".join(fields), act_off)
         expected_tensors = [
             ("w_in", (input_dim, hidden)),
             ("w_rec", (hidden, hidden)),
@@ -187,7 +211,7 @@ def load_checkpoint(path):
         raise ParseError(f"expected 'end', got {end_line!r}", offset=end_off)
 
     payload = buf[reader.pos :]
-    need = sum(int(np.prod(s)) * 8 for s in shapes)
+    need = sum(math.prod(s) * 8 for s in shapes)
     if len(payload) < need:
         raise ParseError(
             f"payload truncated: need {need} bytes after the header, found {len(payload)}",
@@ -206,16 +230,17 @@ def load_checkpoint(path):
     arrays = []
     cursor = 0
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays.append(values[cursor:cursor + count].astype(np.float64).reshape(shape))
         cursor += count
 
     if kind == "dense":
         layers = [
-            DenseLayer(arrays[2 * i], arrays[2 * i + 1], spec[2])
+            _build(spec[3], DenseLayer, arrays[2 * i], arrays[2 * i + 1], spec[2])
             for i, spec in enumerate(layer_specs)
         ]
-        return DenseNet(layers, loss)
+        # what DenseNet can still refuse is the last layer for this loss
+        return _build(layer_specs[-1][3], DenseNet, layers, loss)
     w_in, w_rec, b_h, w_out, b_out, h0 = arrays
-    return Srn(w_in, w_rec, b_h, w_out, b_out, act, h0)
+    return _build(act_off, Srn, w_in, w_rec, b_h, w_out, b_out, act, h0)
 

@@ -65,6 +65,7 @@ def run_mnist(cfg: dict) -> MnistReport:
     test = load_mnist_idx(locate("test_images"), locate("test_labels"))
     train_targets = train.one_hot_targets()
     test_targets = test.one_hot_targets()
+    train_rows, test_rows = train.rows(), test.rows()
 
     init = resolve_init("mnist", cfg)
     hidden = cfg["hidden"]
@@ -83,11 +84,11 @@ def run_mnist(cfg: dict) -> MnistReport:
         net = init_dense(widths, cfg["activation"], "softmax_xent", init, rng)
         opt = SgdMomentum(cfg["alpha"], cfg["mu"])
         if run == 0:
-            initial_acc = evaluate(net, test.images, test_targets).accuracy
-        test_acc = initial_acc if run == 0 else evaluate(net, test.images, test_targets).accuracy
+            initial_acc = evaluate(net, test_rows, test_targets).accuracy
+        test_acc = initial_acc if run == 0 else evaluate(net, test_rows, test_targets).accuracy
         for epoch in range(1, cfg["epochs"] + 1):
-            stats = train_epoch(net, opt, train.images, train_targets, cfg["batch_size"], rng)
-            test_acc = evaluate(net, test.images, test_targets).accuracy
+            stats = train_epoch(net, opt, train_rows, train_targets, cfg["batch_size"], rng)
+            test_acc = evaluate(net, test_rows, test_targets).accuracy
             rows.append(
                 f"{run},{epoch},{_fmt(stats.mean_loss)},{_fmt(stats.accuracy)},{_fmt(test_acc)}"
             )

@@ -21,17 +21,55 @@ LABELS_MAGIC = 0x00000801
 IMAGE_SIDE = 28
 
 
+class ScaledRows:
+    """Byte pixel rows read as float64 in [0, 1].
+
+    `rows[index]` (a slice or a list of row numbers) scales only the rows
+    it takes, into one buffer that the next read overwrites, so a pass
+    over the data in batches allocates it once. This is the one place that
+    scales pixels; copy a read to keep it.
+    """
+
+    def __init__(self, pixels: np.ndarray):
+        self.pixels = pixels
+        self._buf = np.empty((0, pixels.shape[1]))
+
+    def __len__(self) -> int:
+        return self.pixels.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        pixels = self.pixels[index]
+        if self._buf.shape[0] < pixels.shape[0]:
+            self._buf = np.empty(pixels.shape)
+        return np.divide(pixels, 255.0, out=self._buf[:pixels.shape[0]])
+
+
 @dataclass
 class MnistDataset:
-    images: np.ndarray  # (n, 784) float64 in [0, 1]
+    """Labeled 28x28 images kept at 1 byte per pixel.
+
+    `rows()` is the input source for `train_epoch` and `evaluate`: it
+    scales one batch or chunk at a time. `images` is every row scaled,
+    computed when read.
+    """
+
+    pixels: np.ndarray  # (n, 784) uint8
     labels: np.ndarray  # (n,) int64 in 0..9
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return self.pixels.shape[0]
+
+    def rows(self) -> ScaledRows:
+        return ScaledRows(self.pixels)
+
+    @property
+    def images(self) -> np.ndarray:
+        """(n, 784) float64 in [0, 1]."""
+        return self.rows()[:]
 
     def take(self, indices) -> "MnistDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return MnistDataset(self.images[idx], self.labels[idx])
+        return MnistDataset(self.pixels[idx], self.labels[idx])
 
     def one_hot_targets(self, classes: int = 10) -> np.ndarray:
         out = np.zeros((len(self), classes))
@@ -66,11 +104,11 @@ def _read_be32(buf: bytes, offset: int, what: str) -> int:
 
 
 def load_mnist_idx(images_path, labels_path) -> MnistDataset:
-    """Parse an IDX image/label file pair and scale pixels to [0, 1].
+    """Parse an IDX image/label file pair into a dataset of uint8 pixels.
 
     Validates the big-endian magic numbers (0x00000803 images,
-    0x00000801 labels), the 28x28 image dimensions, and that the two
-    files agree on the record count.
+    0x00000801 labels), the 28x28 image dimensions, a record count of at
+    least one, and that the two files agree on it.
     """
     with open(images_path, "rb") as f:
         img_buf = f.read()
@@ -83,6 +121,8 @@ def load_mnist_idx(images_path, labels_path) -> MnistDataset:
             f"bad images magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}", offset=0
         )
     count = _read_be32(img_buf, 4, "image count")
+    if count == 0:
+        raise ParseError("the images file holds no records", offset=4)
     rows = _read_be32(img_buf, 8, "row count")
     cols = _read_be32(img_buf, 12, "column count")
     if rows != IMAGE_SIDE or cols != IMAGE_SIDE:
@@ -115,8 +155,9 @@ def load_mnist_idx(images_path, labels_path) -> MnistDataset:
     if bad.size:
         raise ParseError(f"label value {labels[bad[0]]} out of range 0..9", offset=8 + int(bad[0]))
 
-    images = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-    return MnistDataset(images, labels.astype(np.int64))
+    # a copy, so the file's bytes, trailing ones included, are freed instead
+    # of being kept alive by a view
+    return MnistDataset(pixels.reshape(count, rows * cols).copy(), labels.astype(np.int64))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -208,7 +249,4 @@ def gen_image_classes(n: int, rng: Rng, classes: int = 10, jitter: int = 3,
         base = np.roll(protos[labels[i]], (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
         images[i] = (1.0 - noise) * base + noise * noise_pixels[i]
     pixels = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
-    return MnistDataset(
-        pixels.reshape(n, side * side).astype(np.float64) / 255.0,
-        labels.astype(np.int64),
-    )
+    return MnistDataset(pixels.reshape(n, side * side), labels.astype(np.int64))

@@ -122,7 +122,7 @@ class Gradients:
     dw: list
     db: list
     deltas: list = field(default_factory=list)  # delta per layer (w.r.t. presynaptic)
-    input_delta: np.ndarray = None  # loss gradient w.r.t. the network input
+    input_delta: np.ndarray = None  # loss gradient w.r.t. the input; set by backprop only
 
     def tensors(self) -> list:
         flat = []
@@ -140,7 +140,8 @@ def _forward_batch(net: DenseNet, x_rows: np.ndarray):
     z = x_rows
     for idx, layer in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
-            a = z @ layer.w + layer.b
+            a = z @ layer.w
+            a += layer.b
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite presynaptic activation in layer {idx}")
         z, mask = activate(layer.activation, a)
@@ -151,7 +152,11 @@ def _forward_batch(net: DenseNet, x_rows: np.ndarray):
 
 
 def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray) -> Gradients:
-    """Batch-averaged gradients; deltas and input_delta keep one row per sample."""
+    """Batch-averaged gradients; deltas keep one row per sample.
+
+    The delta is not carried below the first layer: no batch caller reads
+    the input delta, and backprop computes it from deltas[0].
+    """
     delta_hat = np.asarray(delta_out_rows, dtype=np.float64)
     batch = delta_hat.shape[0]
     n_layers = len(net.layers)
@@ -163,11 +168,13 @@ def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray
         delta = activate_backward(layer.activation, delta_hat, tape.presyn[n], tape.postsyn[n],
                                   tape.masks[n])
         z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
-        dw[n] = z_prev.T @ delta / batch
+        dw[n] = z_prev.T @ delta
+        dw[n] /= batch
         db[n] = delta.mean(axis=0)
         deltas[n] = delta
-        delta_hat = delta @ layer.w.T
-    return Gradients(dw, db, deltas, input_delta=delta_hat)
+        if n > 0:
+            delta_hat = delta @ layer.w.T
+    return Gradients(dw, db, deltas)
 
 
 def dense_forward(net: DenseNet, x: np.ndarray):
@@ -239,7 +246,8 @@ def backprop(net: DenseNet, tape: ForwardTape, delta_out: np.ndarray) -> Gradien
     if len(tape.presyn) != len(net.layers):
         raise ValueError("tape does not match network architecture")
     grads = _backprop_batch(net, _index_tape(tape, None), delta_hat[None])
-    return Gradients(grads.dw, grads.db, [d[0] for d in grads.deltas], grads.input_delta[0])
+    input_delta = (grads.deltas[0] @ net.layers[0].w.T)[0]
+    return Gradients(grads.dw, grads.db, [d[0] for d in grads.deltas], input_delta)
 
 
 class SgdMomentum:
@@ -276,11 +284,16 @@ class EpochStats:
     accuracy: float
 
 
-def evaluate(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, chunk: int = 1024) -> EpochStats:
-    """Mean loss and argmax accuracy over a dataset, without training."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+def evaluate(net: DenseNet, inputs, targets: np.ndarray, chunk: int = 1024) -> EpochStats:
+    """Mean loss and argmax accuracy over a dataset, without training.
+
+    inputs is any source whose `[index]` gives float64 rows: an array, or
+    an MnistDataset's `rows()`, which scales one chunk of byte pixels at a
+    time. Each chunk indexes it once and is done with the rows before the
+    next index.
+    """
     targets = np.asarray(targets, dtype=np.float64)
-    n = inputs.shape[0]
+    n = len(inputs)
     if n == 0:
         raise ValueError("empty dataset")
     total_loss = 0.0
@@ -294,17 +307,18 @@ def evaluate(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, chunk: int 
     return EpochStats(total_loss / n, correct / n)
 
 
-def train_epoch(net: DenseNet, opt: SgdMomentum, inputs: np.ndarray, targets: np.ndarray,
+def train_epoch(net: DenseNet, opt: SgdMomentum, inputs, targets: np.ndarray,
                 batch_size: int, rng: Rng) -> EpochStats:
     """One pass over the dataset in shuffled mini-batches.
 
     Gradients are averaged within each batch and one optimizer step is
     taken per batch. The returned loss/accuracy are running statistics
-    gathered from each batch's forward pass before its update.
+    gathered from each batch's forward pass before its update. inputs is
+    any source whose `[index]` gives float64 rows, as for evaluate; each
+    batch indexes it once and is done with the rows before the next index.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    n = inputs.shape[0]
+    n = len(inputs)
     if n == 0:
         raise ValueError("empty dataset")
     if batch_size < 1:

@@ -137,6 +137,30 @@ class TestRejections:
         with pytest.raises(ValueError, match="pairing covers 4 units"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("old, new, message, line", [
+        (b"loss mse", b"loss msx", "unknown loss", b"loss "),
+        (b"layers 2", b"layers +2", "bad layer count", b"layers "),
+        (b"layers 2", b"layers 0", "at least one layer", b"layers "),
+        (b"layer 0 4 4 tanh", b"layer 0 4 4 oplu 0:1", "pairing covers 2 units", b"layer 0 "),
+    ])
+    def test_refused_header_rejected_at_its_line(self, tmp_path, old, new, message, line):
+        raw = self.make_checkpoint(tmp_path).read_bytes().replace(old, new, 1)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw)
+        with pytest.raises(ParseError, match=message) as err:
+            load_checkpoint(bad)
+        assert err.value.offset == raw.index(line)
+
+    def test_srn_pairing_width_rejected_at_activation_line(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, build_srn(4, "oplu", seed=2))
+        raw = path.read_bytes().replace(b"oplu 0:1,2:3", b"oplu 0:1", 1)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw)
+        with pytest.raises(ParseError, match="pairing covers 2 units") as err:
+            load_checkpoint(bad)
+        assert err.value.offset == raw.index(b"activation ")
+
     def test_malformed_pairing_rejected(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         raw = path.read_bytes().replace(b"layer 0 4 4 tanh", b"layer 0 4 4 oplu 0:x", 1)

@@ -304,6 +304,16 @@ class TestMainExitCodes:
         ]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["train", "t10k"])
+    def test_data_error_for_empty_idx_files(self, tmp_path, capsys, prefix):
+        write_image_fixture(tmp_path, n_train=40, n_test=40)
+        write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte", np.zeros((0, 784), dtype=np.uint8))
+        write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+        args = [a for key, value in MNIST_SMOKE.items() for a in (f"--{key}", value)]
+        assert main(["mnist", "--data_dir", str(tmp_path), "--out_dir", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "no records" in err
+
     def test_help(self, capsys):
         assert main([]) == 0
         assert "oplu-net" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplu_net import (
+    MnistDataset,
     ParseError,
     Rng,
     gen_adding,
@@ -118,12 +120,43 @@ class TestIdxFiles:
         write_idx_images(img2, (ds.images * 255).round().astype(np.uint8))
         assert img2.read_bytes() == img_path.read_bytes()
 
+    def test_scaled_rows_reuse_one_buffer(self):
+        pixels = (Rng(2).uniform_array(10 * 784) * 256).astype(np.uint8).reshape(10, 784)
+        rows = MnistDataset(pixels, np.zeros(10, dtype=np.int64)).rows()
+        first = rows[0:4]
+        assert np.array_equal(first, pixels[0:4].astype(np.float64) / 255.0)
+        for index in ([7, 2, 2], slice(8, 12)):
+            read = rows[index]
+            assert np.array_equal(read, pixels[index].astype(np.float64) / 255.0)
+            assert np.shares_memory(read, first)
+
     def test_single_zero_image(self, tmp_path):
         write_idx_images(tmp_path / "imgs", np.zeros((1, 784), dtype=np.uint8))
         write_idx_labels(tmp_path / "lbls", np.array([0], dtype=np.uint8))
         ds = load_mnist_idx(tmp_path / "imgs", tmp_path / "lbls")
         assert len(ds) == 1
         assert ds.images.min() == 0.0 and ds.images.max() == 0.0
+
+    def test_empty_file_rejected_at_its_count(self, tmp_path):
+        write_idx_images(tmp_path / "imgs", np.zeros((0, 784), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ParseError, match="no records") as err:
+            load_mnist_idx(tmp_path / "imgs", tmp_path / "lbls")
+        assert err.value.offset == 4
+
+    def test_load_peaks_at_three_bytes_per_pixel(self, tmp_path):
+        n = 2000
+        pixels = (Rng(8).uniform_array(n * 784) * 256).astype(np.uint8).reshape(n, 784)
+        write_idx_images(tmp_path / "imgs", pixels)
+        write_idx_labels(tmp_path / "lbls", np.arange(n) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_mnist_idx(tmp_path / "imgs", tmp_path / "lbls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.pixels.dtype == np.uint8 and np.array_equal(ds.pixels, pixels)
+        assert peak <= 3 * pixels.size
 
     def test_wrong_magic_rejected_at_offset_zero(self, tmp_path):
         # a labels file offered as an images file
