@@ -26,9 +26,9 @@ from .config import (
 from .datasets import gen_adding, load_mnist_idx, split
 from .diagnostics import NormTrace, trace_delta_norms, write_norm_trace_csv
 from .errors import ConfigError, NumericError, ParseError
-from .linalg import Rng
+from .linalg import Rng, l2_norm
 from .network import SgdMomentum, evaluate, init_dense, sgd_step, train_epoch
-from .recurrent import BpttConfig, SequenceSample, _bptt_batch, bptt, evaluate_adding, init_srn
+from .recurrent import SequenceSample, _bptt_batch, evaluate_adding, init_srn
 
 
 def _fmt(x: float) -> str:
@@ -191,9 +191,11 @@ def run_adding(cfg: dict) -> AddingReport:
     test_mse, success = evaluate_adding(net, test, cfg["threshold"])
     with open(csv_path, "w", newline="") as f:
         f.write("\n".join(rows) + "\n")
-    # delta-norm trace of the trained model on the first test sequence
-    _, norms = bptt(net, test.sample(0), BpttConfig(horizon))
-    trace = NormTrace([str(t) for t in range(1, len(norms) + 1)], norms[::-1], {
+    # delta-norm trace of the trained model on the first test sequence,
+    # oldest unrolled step first
+    _, _, deltas = _bptt_batch(net, test.inputs[:1], test.targets[:1], horizon)
+    norms = [l2_norm(delta[0]) for delta in deltas]
+    trace = NormTrace([str(t) for t in range(1, len(norms) + 1)], norms, {
         "kind": "srn", "horizon": str(horizon), "activation": cfg["activation"],
         "init": init, "seed": str(cfg["seed"]), "repeats": "1",
     })

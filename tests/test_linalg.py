@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,6 +49,42 @@ class TestExpm:
             rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert rel <= 1e-12
 
+    def test_large_norm_rotation_blocks(self):
+        # S = P blockdiag(theta_i J) P^T with J = [[0, 1], [-1, 0]] has the
+        # closed form exp(S) = P blockdiag([[cos, sin], [-sin, cos]]) P^T;
+        # angles up to 100 take 8 squarings, the permutation scatters each
+        # block over the whole matrix
+        rng = Rng(17)
+        n = 40
+        thetas = rng.uniform_array(n // 2, -100.0, 100.0).tolist()
+        thetas[0] = 100.0
+        s = np.zeros((n, n))
+        expected = np.zeros((n, n))
+        for i, theta in enumerate(thetas):
+            c, sn = math.cos(theta), math.sin(theta)
+            s[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, theta], [-theta, 0.0]]
+            expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, sn], [-sn, c]]
+        order = list(range(n))
+        rng.shuffle(order)
+        perm = np.eye(n)[order]
+        got = expm(perm @ s @ perm.T)
+        expected = perm @ expected @ perm.T
+        rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert rel <= 1e-12
+
+    def test_peak_memory_is_four_arrays(self):
+        # S^2, S^3 and two ping-pong buffers; the allowance above four
+        # arrays is a hundredth of one, for Python objects
+        n = 300
+        s = random_skew_symmetric(n, math.pi, Rng(2))
+        tracemalloc.start()
+        try:
+            expm(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.01 * n * n * 8
+
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             expm(np.zeros((2, 3)))
@@ -85,6 +122,10 @@ class TestRandomOrthogonal:
             for _ in range(reps):
                 q = random_orthogonal(n, rng)
                 assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
+
+    def test_orthogonal_at_image_width(self):
+        q = random_orthogonal(784, Rng(0))
+        assert np.abs(q.T @ q - np.eye(784)).max() <= 1e-12
 
     def test_determinant_plus_one(self):
         rng = Rng(4)
