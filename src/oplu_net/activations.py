@@ -8,7 +8,9 @@ backward pass is the same permutation applied to the incoming deltas:
 no scaling of the gradient ever happens inside the activation.
 
 A kind is one of the scalar names or a PairingScheme; models hand it to
-activate and activate_backward and never branch on it themselves.
+activate and activate_backward and never branch on it themselves. This
+module is the only one that knows the kinds: their names and checkpoint
+tokens, their kink sets and their Jacobians.
 """
 
 import numpy as np
@@ -91,14 +93,50 @@ def activation_token(kind) -> str:
     return kind
 
 
-def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None, mask_out=None):
+def parse_activation_token(token: str):
+    """The kind that activation_token wrote as `token`; ValueError for any
+    other text."""
+    parts = token.split(" ")
+    if parts[0] == "oplu":
+        if len(parts) != 2:
+            raise ValueError("oplu activation needs its pairing list")
+        try:
+            pairs = [tuple(int(v) for v in item.split(":")) for item in parts[1].split(",")]
+            return PairingScheme(pairs)
+        except ValueError as exc:
+            raise ValueError(f"bad oplu pairing: {exc}") from None
+    if len(parts) != 1 or parts[0] not in SCALAR_KINDS:
+        raise ValueError(f"unknown activation {token!r}")
+    return parts[0]
+
+
+def kink_gap(kind, a: np.ndarray) -> float:
+    """Distance of presynaptic values from the kind's kink set: the least
+    |a_i - a_j| over pairs, the least |a| for relu, inf for smooth kinds."""
+    if isinstance(kind, PairingScheme):
+        first, second = kind._members
+        return float(np.abs(a[..., first] - a[..., second]).min())
+    if kind == "relu":
+        return float(np.abs(a).min())
+    return np.inf
+
+
+def activation_jacobian(kind, a: np.ndarray, mask) -> np.ndarray:
+    """Matrix J with dz = da @ J at one presynaptic vector `a` whose swap
+    mask is `mask`: the swap permutation for a pairing, diagonal otherwise."""
+    if isinstance(kind, PairingScheme):
+        return materialize_permutation(mask, kind)
+    return np.diag(scalar_derivative(kind, a))
+
+
+def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None):
     """Route each pair to (max, min) along the last axis.
 
     Returns the permuted values and a swap mask with one boolean per pair;
     a pair is swapped exactly when its first entry is strictly smaller, so
     ties leave the order unchanged. Accepts a batch of rows as well as a
-    single vector. The values and the mask are written into `out` and
-    `mask_out` when those are given; `out` may be `a` itself.
+    single vector. The values are written into `out` when it is given; it
+    may be `a` itself.
 
     The values come from np.maximum/np.minimum and compare equal to the
     mask's selection everywhere; only on a tie between -0.0 and +0.0 may
@@ -113,7 +151,7 @@ def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None, mask_out=None):
     if out is None:
         out = np.empty_like(a)
     # the mask and the max are taken before `out`, which may alias `a`, is written
-    mask = np.less(a[..., first], a[..., second], out=mask_out)
+    mask = np.less(a[..., first], a[..., second])
     high = np.maximum(a[..., first], a[..., second])
     out[..., second] = np.minimum(a[..., first], a[..., second])
     out[..., first] = high

@@ -30,31 +30,14 @@ Pairwise activations serialize their pairing as comma-separated i:j
 entries, so a reloaded model applies exactly the same permutations.
 """
 
-import math
-
 import numpy as np
 
-from .activations import SCALAR_KINDS, PairingScheme, activation_token
+from .activations import activation_token, parse_activation_token
 from .errors import ParseError
 from .network import LOSS_KINDS, DenseLayer, DenseNet
 from .recurrent import Srn
 
 FORMAT_LINE = "OPLU-CKPT 1"
-
-
-def _parse_activation(token: str, offset: int):
-    parts = token.split(" ")
-    if parts[0] == "oplu":
-        if len(parts) != 2:
-            raise ParseError("oplu activation needs its pairing list", offset=offset)
-        try:
-            pairs = [tuple(int(v) for v in item.split(":")) for item in parts[1].split(",")]
-            return PairingScheme(pairs)
-        except ValueError as exc:
-            raise ParseError(f"bad oplu pairing: {exc}", offset=offset) from None
-    if len(parts) != 1 or parts[0] not in SCALAR_KINDS:
-        raise ParseError(f"unknown activation {token!r}", offset=offset)
-    return parts[0]
 
 
 def _named_tensors(model) -> list:
@@ -125,20 +108,22 @@ def _parse_int(text: str, offset: int, what: str) -> int:
 
 
 def _build(offset: int, make, *args):
-    """make(*args), with a ShapeError or ValueError it raises turned into a
-    ParseError at the header line that declared the rejected part."""
+    """make(*args), with a ValueError (ShapeError too) or MemoryError it
+    raises turned into a ParseError at the header line of the refused part."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ParseError(str(exc), offset=offset) from None
 
 
 def load_checkpoint(path):
     """Reload a dense or recurrent model, bit-for-bit.
 
-    Rejects with a positioned ParseError any byte after the payload, any
-    NaN or infinite tensor value, and any header the model constructors
-    refuse.
+    The header's structural lines build the model with zero tensors, its
+    tensor lines must list the model's _named_tensors, and the payload is
+    copied into those. Rejects with a positioned ParseError any byte after
+    the payload, any NaN or infinite tensor value, and any header the model
+    constructors refuse.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -156,62 +141,52 @@ def load_checkpoint(path):
         n_layers = _parse_int(layer_count, off, "layer count")
         if n_layers < 1:
             raise ParseError(f"a network needs at least one layer, got {n_layers}", offset=off)
-        layer_specs = []
+        layers = []
         for idx in range(n_layers):
             fields, off = reader.expect_fields("layer", None)
             if len(fields) < 4 or _parse_int(fields[0], off, "layer index") != idx:
                 raise ParseError(f"bad layer line for layer {idx}", offset=off)
             fan_in = _parse_int(fields[1], off, "fan_in")
             fan_out = _parse_int(fields[2], off, "fan_out")
-            if idx and fan_in != layer_specs[-1][1]:
+            if layers and fan_in != layers[-1].fan_out:
                 raise ParseError(
-                    f"layer widths do not chain: {layer_specs[-1][1]} feeds {fan_in}", offset=off
+                    f"layer widths do not chain: {layers[-1].fan_out} feeds {fan_in}", offset=off
                 )
-            act = _parse_activation(" ".join(fields[3:]), off)
-            layer_specs.append((fan_in, fan_out, act, off))
-        expected_tensors = []
-        for idx, (fan_in, fan_out, *_) in enumerate(layer_specs):
-            expected_tensors.append((f"layer{idx}.w", (fan_in, fan_out)))
-            expected_tensors.append((f"layer{idx}.b", (fan_out,)))
+            act = _build(off, parse_activation_token, " ".join(fields[3:]))
+            layers.append(_build(off, lambda: DenseLayer(np.zeros((fan_in, fan_out)),
+                                                         np.zeros(fan_out), act)))
+        # what DenseNet can still refuse is the last layer for this loss
+        model = _build(off, DenseNet, layers, loss)
     elif kind == "srn":
         fields, off = reader.expect_fields("dims", 3)
         input_dim = _parse_int(fields[0], off, "input dim")
         hidden = _parse_int(fields[1], off, "hidden dim")
         output_dim = _parse_int(fields[2], off, "output dim")
-        fields, act_off = reader.expect_fields("activation", None)
-        act = _parse_activation(" ".join(fields), act_off)
-        expected_tensors = [
-            ("w_in", (input_dim, hidden)),
-            ("w_rec", (hidden, hidden)),
-            ("b_h", (hidden,)),
-            ("w_out", (hidden, output_dim)),
-            ("b_out", (output_dim,)),
-            ("h0", (hidden,)),
-        ]
+        fields, off = reader.expect_fields("activation", None)
+        act = _build(off, parse_activation_token, " ".join(fields))
+        model = _build(off, lambda: Srn(np.zeros((input_dim, hidden)), np.zeros((hidden, hidden)),
+                                        np.zeros(hidden), np.zeros((hidden, output_dim)),
+                                        np.zeros(output_dim), act))
     else:
         raise ParseError(f"unknown model kind {kind!r}", offset=kind_off)
 
-    shapes = []
-    for name, expected_shape in expected_tensors:
+    tensors = _named_tensors(model)
+    for name, tensor in tensors:
         fields, off = reader.expect_fields("tensor", None)
         if len(fields) < 2:
             raise ParseError("tensor line needs a name and at least one dimension", offset=off)
         if fields[0] != name:
             raise ParseError(f"expected tensor {name!r}, got {fields[0]!r}", offset=off)
         dims = tuple(_parse_int(d, off, "tensor dim") for d in fields[1:])
-        if dims != expected_shape:
+        if dims != tensor.shape:
             raise ParseError(
-                f"tensor {name} declares shape {dims} but the architecture needs {expected_shape}",
+                f"tensor {name} declares shape {dims} but the architecture needs {tensor.shape}",
                 offset=off,
             )
-        shapes.append(dims)
-    end_off = reader.pos
-    end_line = reader.line()
-    if end_line != "end":
-        raise ParseError(f"expected 'end', got {end_line!r}", offset=end_off)
+    reader.expect_fields("end", 0)
 
     payload = buf[reader.pos :]
-    need = sum(math.prod(s) * 8 for s in shapes)
+    need = sum(tensor.nbytes for _, tensor in tensors)
     if len(payload) < need:
         raise ParseError(
             f"payload truncated: need {need} bytes after the header, found {len(payload)}",
@@ -227,20 +202,8 @@ def load_checkpoint(path):
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ParseError(f"non-finite tensor value {values[bad]!r}", offset=reader.pos + 8 * bad)
-    arrays = []
     cursor = 0
-    for shape in shapes:
-        count = math.prod(shape)
-        arrays.append(values[cursor:cursor + count].astype(np.float64).reshape(shape))
-        cursor += count
-
-    if kind == "dense":
-        layers = [
-            _build(spec[3], DenseLayer, arrays[2 * i], arrays[2 * i + 1], spec[2])
-            for i, spec in enumerate(layer_specs)
-        ]
-        # what DenseNet can still refuse is the last layer for this loss
-        return _build(layer_specs[-1][3], DenseNet, layers, loss)
-    w_in, w_rec, b_h, w_out, b_out, h0 = arrays
-    return _build(act_off, Srn, w_in, w_rec, b_h, w_out, b_out, act, h0)
-
+    for _, tensor in tensors:
+        tensor[...] = values[cursor:cursor + tensor.size].reshape(tensor.shape)
+        cursor += tensor.size
+    return model

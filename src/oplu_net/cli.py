@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import make_activation
 from .checkpoint import save_checkpoint
 from .config import (
     SCHEMAS,
@@ -140,8 +139,7 @@ def run_adding(cfg: dict) -> AddingReport:
     train, valid, test = split(dataset, cfg["train_n"], cfg["valid_n"], cfg["test_n"], data_rng)
 
     init = resolve_init("adding", cfg)
-    activation = make_activation(cfg["activation"], cfg["hidden"])
-    net = init_srn(2, cfg["hidden"], 1, activation, init, init_rng)
+    net = init_srn(2, cfg["hidden"], 1, cfg["activation"], init, init_rng)
     opt = SgdMomentum(cfg["alpha"], cfg["mu"])
     horizon = cfg["horizon"] if cfg["horizon"] > 0 else seq_len
 
@@ -228,8 +226,7 @@ def run_grad_diag(cfg: dict) -> GradDiagReport:
     trace_rng = root.spawn()
 
     init = resolve_init("grad-diag", cfg)
-    activation = make_activation(cfg["activation"], cfg["hidden"])
-    net = init_srn(cfg["input_dim"], cfg["hidden"], 1, activation, init, init_rng)
+    net = init_srn(cfg["input_dim"], cfg["hidden"], 1, cfg["activation"], init, init_rng)
 
     template = SequenceSample(np.zeros((cfg["horizon"], cfg["input_dim"])), np.zeros(1))
     trace = trace_delta_norms(net, template, cfg["repeats"], trace_rng)

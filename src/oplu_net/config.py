@@ -9,7 +9,7 @@ with, so `--show-config` documents a run completely.
 import os
 import re
 
-from .activations import SCALAR_KINDS
+from .activations import make_activation
 from .errors import ConfigError
 
 
@@ -72,7 +72,6 @@ SCHEMAS = {
     },
 }
 
-ACTIVATION_CHOICES = SCALAR_KINDS + ("oplu",)
 INIT_CHOICES = ("auto", "xavier", "orthogonal")
 
 
@@ -120,12 +119,10 @@ def apply_settings(kind: str, cfg: dict, raw: dict, source: str) -> dict:
 
 
 def validate_config(kind: str, cfg: dict) -> dict:
-    if cfg.get("activation") not in ACTIVATION_CHOICES:
-        raise ConfigError(f"activation must be one of {ACTIVATION_CHOICES}, got {cfg.get('activation')!r}")
     if cfg.get("init", "auto") not in INIT_CHOICES:
         raise ConfigError(f"init must be one of {INIT_CHOICES}, got {cfg.get('init')!r}")
-    for key in ("alpha", "mu", "batch_size", "epochs", "repeats", "hidden", "iterations_per_epoch",
-                "seq_len", "horizon", "train_n", "valid_n", "test_n", "threshold"):
+    for key in ("alpha", "mu", "batch_size", "epochs", "repeats", "hidden", "input_dim", "seq_len",
+                "iterations_per_epoch", "horizon", "train_n", "valid_n", "test_n", "threshold"):
         if key in cfg:
             value = cfg[key]
             if key == "mu":
@@ -138,8 +135,13 @@ def validate_config(kind: str, cfg: dict) -> dict:
                 raise ConfigError(f"{key} must be positive, got {value}")
     if kind == "adding" and cfg["seq_len"] < 2:
         raise ConfigError(f"seq_len must be >= 2, got {cfg['seq_len']}")
-    if cfg.get("activation") == "oplu" and cfg.get("hidden", 0) % 2:
-        raise ConfigError(f"oplu needs an even hidden width, got {cfg['hidden']}")
+    # 0 means "seq_len" for adding; grad-diag has no sequence length to fall back on
+    if kind == "grad-diag" and cfg["horizon"] < 1:
+        raise ConfigError(f"horizon must be >= 1, got {cfg['horizon']}")
+    try:
+        make_activation(cfg["activation"], cfg["hidden"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

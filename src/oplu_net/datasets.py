@@ -85,10 +85,6 @@ class AddingDataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.inputs.shape[1]
-
     def take(self, indices) -> "AddingDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return AddingDataset(self.inputs[idx], self.targets[idx])

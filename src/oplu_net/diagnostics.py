@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import PairingScheme
+from .activations import activation_jacobian, kink_gap
 from .errors import ShapeError
 from .linalg import Rng, l2_norm
 from .network import (DenseNet, _backprop_batch, _forward_batch, backprop, dense_forward,
@@ -108,32 +108,15 @@ def finite_diff_grad(model, sample, epsilon: float = 1e-6) -> GradCheckReport:
 
 
 def min_nonsmooth_gap(model, sample) -> float:
-    """Distance of the forward pass from the activation kink sets.
-
-    Returns the smallest pairwise gap |a_i - a_j| across permutation pairs
-    and the smallest |a| at relu units, over all layers or timesteps.
-    Infinite when the model has no non-smooth activation.
-    """
-    gap = np.inf
-
-    def scan(kind, presyn_rows):
-        nonlocal gap
-        rows = np.atleast_2d(presyn_rows)
-        if isinstance(kind, PairingScheme):
-            diff = np.abs(rows[:, kind._first] - rows[:, kind._second])
-            gap = min(gap, float(diff.min()))
-        elif kind == "relu":
-            gap = min(gap, float(np.abs(rows).min()))
-
+    """Distance of the forward pass from the activation kink sets: the
+    least kink_gap over all layers or timesteps, infinite when the model has
+    no non-smooth activation."""
     if isinstance(model, Srn):
         _, tape = srn_forward(model, sample.inputs)
-        scan(model.hidden_activation, tape.presyn)
-    else:
-        x, _ = sample
-        _, tape = dense_forward(model, x)
-        for layer, a in zip(model.layers, tape.presyn):
-            scan(layer.activation, a)
-    return gap
+        return kink_gap(model.hidden_activation, tape.presyn)
+    x, _ = sample
+    _, tape = dense_forward(model, x)
+    return min(kink_gap(layer.activation, a) for layer, a in zip(model.layers, tape.presyn))
 
 
 def draw_smooth_sample(model, rng: Rng, make_sample, min_gap: float = 1e-3, attempts: int = 200):
@@ -227,17 +210,10 @@ def write_norm_trace_csv(path, trace: NormTrace) -> None:
 def assemble_dense_jacobian(net: DenseNet, tape) -> np.ndarray:
     """End-to-end forward Jacobian as the explicit per-layer matrix product.
 
-    Returns M with d(output) = d(input) @ M, built by materializing each
-    layer's weight matrix times its activation Jacobian (diagonal for
-    scalar activations, the swap permutation for pairwise units).
+    Returns M with d(output) = d(input) @ M, the product of each layer's
+    weight matrix and its activation_jacobian.
     """
-    from .activations import materialize_permutation, scalar_derivative as sd
-
     m = np.eye(net.input_dim)
     for layer, a, mask in zip(net.layers, tape.presyn, tape.masks):
-        if isinstance(layer.activation, PairingScheme):
-            act_jac = materialize_permutation(mask, layer.activation)
-        else:
-            act_jac = np.diag(sd(layer.activation, a))
-        m = m @ layer.w @ act_jac
+        m = m @ layer.w @ activation_jacobian(layer.activation, a, mask)
     return m

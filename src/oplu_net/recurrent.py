@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import activate, activate_backward, check_activation
+from .activations import activate, activate_backward, check_activation, make_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, l2_norm, random_orthogonal, random_orthogonal_rect, xavier_init
 
@@ -266,7 +266,8 @@ def evaluate_adding(net: Srn, dataset, threshold: float, chunk: int = 512):
     return total_sq / n, hits / n
 
 
-def init_srn(input_dim: int, hidden: int, output_dim: int, activation, init: str, rng: Rng) -> Srn:
+def init_srn(input_dim: int, hidden: int, output_dim: int, activation: str, init: str,
+             rng: Rng) -> Srn:
     """Fresh SRN with zero biases and zero initial state.
 
     init "orthogonal" draws every weight matrix from the exponential of a
@@ -283,4 +284,5 @@ def init_srn(input_dim: int, hidden: int, output_dim: int, activation, init: str
         w_out = xavier_init(hidden, output_dim, rng)
     else:
         raise ValueError(f"unknown init {init!r}")
-    return Srn(w_in, w_rec, np.zeros(hidden), w_out, np.zeros(output_dim), activation)
+    return Srn(w_in, w_rec, np.zeros(hidden), w_out, np.zeros(output_dim),
+               make_activation(activation, hidden))

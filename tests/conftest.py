@@ -17,8 +17,7 @@ def build_mlp(widths, activation, loss="mse", init="xavier", seed=0):
 
 
 def build_srn(hidden, activation, init="xavier", seed=0, input_dim=2, output_dim=1):
-    return init_srn(input_dim, hidden, output_dim, make_activation(activation, hidden),
-                    init, Rng(seed))
+    return init_srn(input_dim, hidden, output_dim, activation, init, Rng(seed))
 
 
 def smooth_mlp_sample(net, seed=0, gap=1e-3):

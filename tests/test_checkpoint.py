@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_mlp, build_srn
-from oplu_net import ParseError, Rng, load_checkpoint, save_checkpoint
+from oplu_net import ParseError, Rng, Srn, load_checkpoint, save_checkpoint
 from oplu_net.activations import PairingScheme
 
 
@@ -42,6 +42,20 @@ class TestRoundTrip:
         assert_same_tensors(net, back)
         assert np.array_equal(back.h0, net.h0)
         assert back.hidden_activation == net.hidden_activation
+
+    def test_srn_non_adjacent_pairing_bitwise(self, tmp_path):
+        base = build_srn(8, "oplu", init="orthogonal", seed=7)
+        scheme = PairingScheme([(5, 0), (3, 6), (7, 1), (2, 4)])
+        net = Srn(base.w_in, base.w_rec, base.b_h, base.w_out, base.b_out, scheme,
+                  Rng(8).uniform_array(8, -1, 1))
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, net)
+        assert b"activation oplu 5:0,3:6,7:1,2:4\n" in path.read_bytes()
+        back = load_checkpoint(path)
+        assert back.hidden_activation == scheme
+        path2 = tmp_path / "s2.ckpt"
+        save_checkpoint(path2, back)
+        assert path.read_bytes() == path2.read_bytes()
 
     def test_softmax_net(self, tmp_path):
         net = build_mlp([4, 6, 3], "relu", loss="softmax_xent", seed=4)
@@ -121,6 +135,16 @@ class TestRejections:
         with pytest.raises(ParseError, match="architecture"):
             load_checkpoint(bad)
 
+    def test_tensor_out_of_order_rejected_at_its_line(self, tmp_path):
+        raw = self.make_checkpoint(tmp_path).read_bytes()
+        w_line, b_line = b"tensor layer0.w 4 4\n", b"tensor layer0.b 4\n"
+        raw = raw.replace(w_line + b_line, b_line + w_line, 1)
+        bad = tmp_path / "order.ckpt"
+        bad.write_bytes(raw)
+        with pytest.raises(ParseError, match="expected tensor 'layer0.w'") as err:
+            load_checkpoint(bad)
+        assert err.value.offset == raw.index(b_line)
+
     def test_odd_oplu_width_rejected_at_load(self, tmp_path):
         net = build_mlp([4, 4, 2], "oplu", seed=6)
         path = tmp_path / "odd.ckpt"
@@ -158,6 +182,17 @@ class TestRejections:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(raw)
         with pytest.raises(ParseError, match="pairing covers 2 units") as err:
+            load_checkpoint(bad)
+        assert err.value.offset == raw.index(b"activation ")
+
+    def test_model_too_large_to_allocate_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, build_srn(4, "tanh", seed=2))
+        # 160 GB of w_in alone: refused before any tensor line is read
+        raw = path.read_bytes().replace(b"dims 2 4 1", b"dims 2 10000000000 1", 1)
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
             load_checkpoint(bad)
         assert err.value.offset == raw.index(b"activation ")
 

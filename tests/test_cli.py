@@ -74,6 +74,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="even"):
             load_config("adding", overrides={"hidden": "7"})
 
+    def test_checkpoint_activation_token_rejected(self):
+        # the pairing list is checkpoint syntax; the CLI takes names only
+        with pytest.raises(ConfigError, match="'oplu 0:1,2:3'"):
+            load_config("adding", overrides={"activation": "oplu 0:1,2:3"})
+
     def test_paper_scale_epochs(self):
         assert load_config("adding", overrides={"paper_scale": "true"})["epochs"] == 2000
         assert load_config(
@@ -290,6 +295,13 @@ class TestMainExitCodes:
     def test_config_error(self, capsys):
         assert main(["adding", "--bogus", "1"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("input_dim", "0"), ("input_dim", "-1"),
+                                            ("horizon", "0")])
+    def test_grad_diag_shape_out_of_range(self, tmp_path, capsys, key, value):
+        assert main(["grad-diag", f"--{key}", value, "--out_dir", str(tmp_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
