@@ -135,8 +135,9 @@ def run_adding(cfg: dict) -> AddingReport:
 
     seq_len = cfg["seq_len"]
     total = cfg["train_n"] + cfg["valid_n"] + cfg["test_n"]
-    dataset = gen_adding(seq_len, total, data_rng)
-    train, valid, test = split(dataset, cfg["train_n"], cfg["valid_n"], cfg["test_n"], data_rng)
+    # the full set is dropped once split has copied its parts
+    train, valid, test = split(gen_adding(seq_len, total, data_rng),
+                               cfg["train_n"], cfg["valid_n"], cfg["test_n"], data_rng)
 
     init = resolve_init("adding", cfg)
     net = init_srn(2, cfg["hidden"], 1, cfg["activation"], init, init_rng)
@@ -165,7 +166,7 @@ def run_adding(cfg: dict) -> AddingReport:
         try:
             for it in range(cfg["iterations_per_epoch"]):
                 idx = [order[(it * batch + k) % n_train] for k in range(batch)]
-                grads, batch_loss, _ = _bptt_batch(net, train.inputs[idx], train.targets[idx], horizon)
+                grads, batch_loss, _ = _bptt_batch(net, train.rows(idx), train.targets[idx], horizon)
                 sgd_step(opt, params, grads.tensors())
                 epoch_loss += batch_loss
             valid_mse, _ = evaluate_adding(net, valid, cfg["threshold"])
@@ -191,7 +192,7 @@ def run_adding(cfg: dict) -> AddingReport:
         f.write("\n".join(rows) + "\n")
     # delta-norm trace of the trained model on the first test sequence,
     # oldest unrolled step first
-    _, _, deltas = _bptt_batch(net, test.inputs[:1], test.targets[:1], horizon)
+    _, _, deltas = _bptt_batch(net, test.rows(slice(1)), test.targets[:1], horizon)
     norms = [l2_norm(delta[0]) for delta in deltas]
     trace = NormTrace([str(t) for t in range(1, len(norms) + 1)], norms, {
         "kind": "srn", "horizon": str(horizon), "activation": cfg["activation"],

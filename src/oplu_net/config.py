@@ -6,6 +6,7 @@ places. Defaults carry the hyperparameters the experiments are defined
 with, so `--show-config` documents a run completely.
 """
 
+import math
 import os
 import re
 
@@ -121,6 +122,10 @@ def apply_settings(kind: str, cfg: dict, raw: dict, source: str) -> dict:
 def validate_config(kind: str, cfg: dict) -> dict:
     if cfg.get("init", "auto") not in INIT_CHOICES:
         raise ConfigError(f"init must be one of {INIT_CHOICES}, got {cfg.get('init')!r}")
+    # float() accepts "nan" and "inf", which pass every range test below
+    for key, (ctor, _) in SCHEMAS[kind].items():
+        if ctor is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     for key in ("alpha", "mu", "batch_size", "epochs", "repeats", "hidden", "input_dim", "seq_len",
                 "iterations_per_epoch", "horizon", "train_n", "valid_n", "test_n", "threshold"):
         if key in cfg:

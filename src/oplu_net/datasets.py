@@ -79,18 +79,41 @@ class MnistDataset:
 
 @dataclass
 class AddingDataset:
-    inputs: np.ndarray  # (n, T, 2): channel 0 value, channel 1 marker
+    """Adding-task sequences kept at 9 bytes per step.
+
+    `rows()` is the input source for training, evaluation and traces: it
+    builds the (len, T, 2) float64 network input of only the rows it is
+    asked for. `inputs` is every row built, computed when read.
+    """
+
+    values: np.ndarray  # (n, T) float64 in [0, 1)
+    markers: np.ndarray  # (n, T) bool, two marked steps per row
     targets: np.ndarray  # (n, 1): sum of the two marked values
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.values.shape[0]
+
+    def rows(self, index) -> np.ndarray:
+        """A fresh float64 array of the rows `index` (an int, a slice or a
+        list of row numbers) takes: channel 0 the value, channel 1 the
+        marker as 0.0 or 1.0."""
+        values = self.values[index]
+        out = np.empty(values.shape + (2,))
+        out[..., 0] = values
+        out[..., 1] = self.markers[index]
+        return out
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """(n, T, 2) float64."""
+        return self.rows(slice(None))
 
     def take(self, indices) -> "AddingDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return AddingDataset(self.inputs[idx], self.targets[idx])
+        return AddingDataset(self.values[idx], self.markers[idx], self.targets[idx])
 
     def sample(self, i: int) -> SequenceSample:
-        return SequenceSample(self.inputs[i], self.targets[i])
+        return SequenceSample(self.rows(i), self.targets[i])
 
 
 def _read_be32(buf: bytes, offset: int, what: str) -> int:
@@ -174,11 +197,11 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 def gen_adding(seq_len: int, n: int, rng: Rng) -> AddingDataset:
     """Synthetic adding task: sum two marked values in a random sequence.
 
-    Channel 0 holds values i.i.d. uniform in [0, 1]; channel 1 marks two
-    positions, one uniform in the first half [0, T//2) and one uniform in
-    the second half [T//2, T). The target is the sum of the two marked
-    values. Draw order: all n*T values, then the n first-half positions,
-    then the n second-half positions.
+    The values (input channel 0) are i.i.d. uniform in [0, 1); the markers
+    (channel 1) flag two positions, one uniform in the first half [0, T//2)
+    and one uniform in the second half [T//2, T). The target is the sum of
+    the two marked values. Draw order: all n*T values, then the n
+    first-half positions, then the n second-half positions.
     """
     if seq_len < 2:
         raise ValueError(f"sequence length must be >= 2, got {seq_len}")
@@ -188,13 +211,12 @@ def gen_adding(seq_len: int, n: int, rng: Rng) -> AddingDataset:
     values = rng.uniform_array(n * seq_len).reshape(n, seq_len)
     pos1 = rng.randint_array(n, half)
     pos2 = half + rng.randint_array(n, seq_len - half)
-    inputs = np.zeros((n, seq_len, 2))
-    inputs[:, :, 0] = values
+    markers = np.zeros((n, seq_len), dtype=bool)
     rows = np.arange(n)
-    inputs[rows, pos1, 1] = 1.0
-    inputs[rows, pos2, 1] = 1.0
+    markers[rows, pos1] = True
+    markers[rows, pos2] = True
     targets = (values[rows, pos1] + values[rows, pos2]).reshape(n, 1)
-    return AddingDataset(inputs, targets)
+    return AddingDataset(values, markers, targets)
 
 
 def split(dataset, train_n: int, valid_n: int, test_n: int, rng: Rng):

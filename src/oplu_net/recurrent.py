@@ -251,15 +251,19 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_adding(net: Srn, dataset, threshold: float, chunk: int = 512):
-    """Mean 0.5*(y - t)^2 and the fraction of predictions within threshold."""
-    inputs, targets = dataset.inputs, dataset.targets
-    n = inputs.shape[0]
+    """Mean 0.5*(y - t)^2 and the fraction of predictions within threshold.
+
+    dataset gives its targets and, through `rows(index)`, the float64
+    inputs of each chunk (an AddingDataset).
+    """
+    targets = dataset.targets
+    n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
     total_sq = 0.0
     hits = 0
     for start in range(0, n, chunk):
-        y = _srn_predict_batch(net, inputs[start:start + chunk])
+        y = _srn_predict_batch(net, dataset.rows(slice(start, start + chunk)))
         err = y - targets[start:start + chunk]
         total_sq += float(0.5 * np.square(err).sum())
         hits += int((np.abs(err) < threshold).all(axis=1).sum())

@@ -21,6 +21,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# draws per block of uniform_array, so its temporaries stay a few blocks in
+# size however many values it returns
+UNIFORM_BLOCK = 1 << 16
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -52,8 +56,20 @@ class Rng:
         return low + (high - low) * ((self.next_u64() >> 11) * 2.0 ** -53)
 
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = (self._u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return low + (high - low) * u
+        """The next n uniform() draws as a float64 array, bit for bit.
+
+        The output is filled UNIFORM_BLOCK draws at a time, so besides it
+        only block-sized temporaries are allocated.
+        """
+        out = np.empty(n)
+        for start in range(0, n, UNIFORM_BLOCK):
+            u = out[start:start + UNIFORM_BLOCK]
+            # an assignment casts without the buffer a mixed-type ufunc takes
+            u[...] = self._u64_block(u.size) >> np.uint64(11)
+            u *= 2.0 ** -53
+            u *= high - low
+            u += low
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Uses modulo reduction; the bias is below n/2^64."""

@@ -285,6 +285,20 @@ class TestRunMnist:
         assert report.best == max(report.final_test_accuracies)
         assert abs(report.mean - np.mean(report.final_test_accuracies)) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ["1e3", "1e8"])
+    def test_divergence_exits_3_without_outputs(self, tmp_path, capsys, alpha):
+        # a non-finite activation stops the run: no CSV, no checkpoint
+        data_dir = tmp_path / "data"
+        write_image_fixture(data_dir, n_train=160, n_test=40)
+        out = tmp_path / "out"
+        code = main(["mnist", "--activation", "oplu", "--hidden", "40", "--alpha", alpha,
+                     "--epochs", "2", "--batch_size", "32", "--data_dir", str(data_dir),
+                     "--out_dir", str(out)])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert list(out.glob("mnist_*")) == []
+
 
 class TestMainExitCodes:
     def test_show_config(self, capsys):
@@ -301,6 +315,17 @@ class TestMainExitCodes:
     def test_grad_diag_shape_out_of_range(self, tmp_path, capsys, key, value):
         assert main(["grad-diag", f"--{key}", value, "--out_dir", str(tmp_path)]) == 1
         assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, key", [("adding", "alpha"), ("adding", "threshold"),
+                                              ("mnist", "alpha")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, command, key, value):
+        run = ADDING_SMOKE if command == "adding" else {**MNIST_SMOKE, "data_dir": str(tmp_path)}
+        settings = {**run, key: value, "out_dir": str(tmp_path / "out")}
+        assert main([command, *[a for k, v in settings.items() for a in (f"--{k}", v)]]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be finite" in err
         assert os.listdir(tmp_path) == []
 
     def test_unknown_command(self, capsys):

@@ -17,6 +17,7 @@ from oplu_net import (
     write_idx_images,
     write_idx_labels,
 )
+from oplu_net.rng import UNIFORM_BLOCK
 
 
 class TestGenAdding:
@@ -64,6 +65,38 @@ class TestGenAdding:
         ])
         assert np.array_equal(data.inputs[0], expected)
         assert data.targets[0, 0] == 0.7075015638429303
+
+    @pytest.mark.parametrize("index", [slice(3, 9), [7, 0, 7, 11, 2]])
+    def test_rows_equal_the_value_marker_layout(self, index):
+        # reference: the (n, T, 2) layout built straight from gen_adding's
+        # documented draw order
+        n, seq_len = 12, 9
+        data = gen_adding(seq_len, n, Rng(13))
+        rng = Rng(13)
+        values = np.array([rng.uniform() for _ in range(n * seq_len)]).reshape(n, seq_len)
+        pos1 = [rng.randint(seq_len // 2) for _ in range(n)]
+        pos2 = [seq_len // 2 + rng.randint(seq_len - seq_len // 2) for _ in range(n)]
+        layout = np.zeros((n, seq_len, 2))
+        layout[:, :, 0] = values
+        layout[np.arange(n), pos1, 1] = 1.0
+        layout[np.arange(n), pos2, 1] = 1.0
+        rows = data.rows(index)
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == layout[index].tobytes()
+        assert data.inputs.tobytes() == layout.tobytes()
+
+    def test_peaks_near_nine_bytes_per_step(self):
+        n, seq_len = 20000, 30
+        tracemalloc.start()
+        try:
+            data = gen_adding(seq_len, n, Rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.values.dtype == np.float64 and data.markers.dtype == bool
+        # an 8-byte value and a 1-byte marker per step, plus uniform_array's
+        # block temporaries
+        assert peak <= 9 * n * seq_len + 4 * 8 * UNIFORM_BLOCK
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

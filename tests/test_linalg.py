@@ -17,6 +17,7 @@ from oplu_net import (
     random_skew_symmetric,
     xavier_init,
 )
+from oplu_net.rng import UNIFORM_BLOCK
 
 
 def taylor_expm(s, terms=40):
@@ -230,6 +231,27 @@ class TestRng:
         assert np.array_equal(block, scalars)
         # streams stay aligned afterwards
         assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("n", [0, 1, UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1,
+                                   3 * UNIFORM_BLOCK + 5])
+    def test_blocked_uniform_matches_scalar_stream(self, n):
+        a, b = Rng(11), Rng(11)
+        block = a.uniform_array(n, -0.5, 2.0)
+        scalars = np.array([b.uniform(-0.5, 2.0) for _ in range(n)])
+        assert block.dtype == np.float64 and block.shape == (n,)
+        assert block.tobytes() == scalars.tobytes()
+        assert a.next_u64() == b.next_u64()
+
+    def test_uniform_peak_is_output_plus_few_blocks(self):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            Rng(3).uniform_array(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three uint64 block temporaries are live at once
+        assert peak <= 8 * n + 4 * 8 * UNIFORM_BLOCK
 
     def test_randint_block_matches_scalar(self):
         a, b = Rng(5), Rng(5)
