@@ -30,8 +30,6 @@ from .linalg import (
 from .network import (
     DenseLayer,
     DenseNet,
-    ForwardTape,
-    Gradients,
     SgdMomentum,
     backprop,
     dense_forward,
@@ -62,7 +60,6 @@ from .datasets import (
     write_idx_labels,
 )
 from .diagnostics import (
-    GradCheckReport,
     NormTrace,
     finite_diff_grad,
     min_nonsmooth_gap,

@@ -27,7 +27,7 @@ from .diagnostics import NormTrace, trace_delta_norms, write_norm_trace_csv
 from .errors import ConfigError, NumericError, ParseError
 from .linalg import Rng, l2_norm
 from .network import SgdMomentum, evaluate, init_dense, sgd_step, train_epoch
-from .recurrent import SequenceSample, _bptt_batch, evaluate_adding, init_srn
+from .recurrent import _bptt_batch, evaluate_adding, init_srn
 
 
 def _fmt(x: float) -> str:
@@ -229,9 +229,11 @@ def run_grad_diag(cfg: dict) -> GradDiagReport:
     init = resolve_init("grad-diag", cfg)
     net = init_srn(cfg["input_dim"], cfg["hidden"], 1, cfg["activation"], init, init_rng)
 
-    template = SequenceSample(np.zeros((cfg["horizon"], cfg["input_dim"])), np.zeros(1))
-    trace = trace_delta_norms(net, template, cfg["repeats"], trace_rng)
+    sample = (np.zeros((cfg["horizon"], cfg["input_dim"])), np.zeros(1))
+    trace = trace_delta_norms(net, sample, cfg["repeats"], trace_rng)
     trace.meta.update(
+        kind="srn",
+        horizon=str(cfg["horizon"]),
         activation=cfg["activation"],
         init=init,
         seed=str(cfg["seed"]),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .recurrent import SequenceSample
 from .rng import Rng
 
 IMAGES_MAGIC = 0x00000803
@@ -111,9 +110,6 @@ class AddingDataset:
     def take(self, indices) -> "AddingDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return AddingDataset(self.values[idx], self.markers[idx], self.targets[idx])
-
-    def sample(self, i: int) -> SequenceSample:
-        return SequenceSample(self.rows(i), self.targets[i])
 
 
 def _read_be32(buf: bytes, offset: int, what: str) -> int:

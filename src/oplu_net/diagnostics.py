@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import activation_jacobian, kink_gap
+from .activations import activation_jacobian
 from .errors import ShapeError
 from .linalg import Rng, l2_norm
-from .network import (DenseNet, _backprop_batch, _forward_batch, backprop, dense_forward,
-                      loss_value, output_delta)
-from .recurrent import BpttConfig, SequenceSample, Srn, _bptt_batch, bptt, sequence_loss, srn_forward
+from .network import DenseNet, loss_value
 
 # Tape memory that one pass of trace_delta_norms may hold, in bytes.
 TRACE_TAPE_BYTES = 1 << 20
@@ -57,35 +55,27 @@ def _relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
 
 
-def _model_loss(model, sample) -> float:
-    if isinstance(model, Srn):
-        return sequence_loss(model, sample)
+def _as_rows(sample):
+    """A sample's (input, target) pair as one row of inputs and of targets."""
     x, target = sample
-    y, _ = dense_forward(model, x)
-    return loss_value(model.loss, y, target)
+    return np.asarray(x, dtype=np.float64)[None], np.asarray(target, dtype=np.float64)[None]
 
 
-def _analytic_gradients(model, sample) -> list:
-    if isinstance(model, Srn):
-        grads, _ = bptt(model, sample, BpttConfig(horizon=sample.inputs.shape[0]))
-        return grads.tensors()
-    x, target = sample
-    y, tape = dense_forward(model, x)
-    return backprop(model, tape, output_delta(model.loss, y, target)).tensors()
+def _model_loss(model, rows, targets) -> float:
+    return loss_value(model.loss, model.forward(rows)[0], targets)
 
 
 def finite_diff_grad(model, sample, epsilon: float = 1e-6) -> GradCheckReport:
     """Central-difference check of every parameter against the analytic gradient.
 
-    model is a DenseNet (sample = (x, target)) or an Srn (sample =
-    SequenceSample; final-step squared error). Relative error per scalar is
-    |g_a - g_f| / max(|g_a|, |g_f|, 1e-8).
+    model is a DenseNet or an Srn, and sample its (input, target) pair: an
+    input vector, or a (T, input_dim) sequence scored at its final step.
+    Relative error per scalar is |g_a - g_f| / max(|g_a|, |g_f|, 1e-8).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if isinstance(model, Srn) and not isinstance(sample, SequenceSample):
-        raise ValueError("recurrent models take a SequenceSample")
-    analytic = _analytic_gradients(model, sample)
+    rows, targets = _as_rows(sample)
+    analytic, _ = model.gradients(rows, targets)
     report = {}
     for (name, param), grad in zip(model.named_parameters(), analytic):
         worst = 0.0
@@ -94,9 +84,9 @@ def finite_diff_grad(model, sample, epsilon: float = 1e-6) -> GradCheckReport:
         for k in range(flat.shape[0]):
             original = flat[k]
             flat[k] = original + epsilon
-            plus = _model_loss(model, sample)
+            plus = _model_loss(model, rows, targets)
             flat[k] = original - epsilon
-            minus = _model_loss(model, sample)
+            minus = _model_loss(model, rows, targets)
             flat[k] = original
             numeric = (plus - minus) / (2.0 * epsilon)
             err = _relative_error(float(grad.reshape(-1)[k]), numeric)
@@ -111,12 +101,8 @@ def min_nonsmooth_gap(model, sample) -> float:
     """Distance of the forward pass from the activation kink sets: the
     least kink_gap over all layers or timesteps, infinite when the model has
     no non-smooth activation."""
-    if isinstance(model, Srn):
-        _, tape = srn_forward(model, sample.inputs)
-        return kink_gap(model.hidden_activation, tape.presyn)
-    x, _ = sample
-    _, tape = dense_forward(model, x)
-    return min(kink_gap(layer.activation, a) for layer, a in zip(model.layers, tape.presyn))
+    _, tape = model.forward(_as_rows(sample)[0])
+    return model.kink_gap(tape)
 
 
 def draw_smooth_sample(model, rng: Rng, make_sample, min_gap: float = 1e-3, attempts: int = 200):
@@ -128,13 +114,7 @@ def draw_smooth_sample(model, rng: Rng, make_sample, min_gap: float = 1e-3, atte
     raise RuntimeError(f"could not find a sample with kink gap > {min_gap} in {attempts} tries")
 
 
-def _rows_per_pass(row_bytes: int) -> int:
-    return max(1, TRACE_TAPE_BYTES // row_bytes)
-
-
 def _random_target(model, rng: Rng) -> np.ndarray:
-    if isinstance(model, Srn):
-        return rng.uniform_array(model.output_dim)
     if model.loss == "softmax_xent":
         target = np.zeros(model.output_dim)
         target[rng.randint(model.output_dim)] = 1.0
@@ -145,10 +125,10 @@ def _random_target(model, rng: Rng) -> np.ndarray:
 def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     """Mean backpropagated delta norms over fresh random inputs and targets.
 
-    The sample fixes the shapes (sequence length for recurrent models,
-    input width otherwise); each repeat redraws inputs uniform in [0, 1]
-    and a fresh random target. Trace entries run oldest step (or first
-    layer) to newest.
+    The sample's input fixes the shapes (a (T, input_dim) sequence for
+    recurrent models, an input vector otherwise); each repeat redraws the
+    input uniform in [0, 1] and a fresh random target. Trace entries run
+    oldest step (or first layer) to newest.
 
     The repeats run through the batched backward pass in passes of as many
     rows as fit in TRACE_TAPE_BYTES of tape, so peak memory stays the same
@@ -160,41 +140,22 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if isinstance(model, Srn):
-        steps = sample.inputs.shape[0]
-        # presyn, hidden states and deltas: steps x hidden floats each
-        rows = _rows_per_pass(3 * steps * model.hidden_dim * 8)
-
-        def draw():
-            inputs = rng.uniform_array(steps * model.input_dim).reshape(steps, model.input_dim)
-            return inputs, _random_target(model, rng)
-
-        def deltas(inputs, targets):
-            return _bptt_batch(model, inputs, targets, steps)[2]  # deltas[k, i], oldest step first
-
-        labels = [str(t) for t in range(1, steps + 1)]
-        meta = {"kind": "srn", "horizon": str(steps)}
-    else:
-        # presyn, postsyn and delta rows of every layer
-        rows = _rows_per_pass(3 * sum(layer.fan_out for layer in model.layers) * 8)
-
-        def draw():
-            return rng.uniform_array(model.input_dim), _random_target(model, rng)
-
-        def deltas(x, targets):
-            y, tape = _forward_batch(model, x)
-            return _backprop_batch(model, tape, output_delta(model.loss, y, targets)).deltas
-
-        depth = len(model.layers)
-        labels = [str(n) for n in range(1, depth + 1)]
-        meta = {"kind": "dense", "depth": str(depth)}
-    total = np.zeros(len(labels))
+    x, _ = sample
+    shape = np.shape(x)
+    # a row's tape holds presynaptic values, activations and deltas, as many
+    # of each as the presynaptic tape of a one-row forward pass
+    sizes = [np.size(a) for a in model.forward(np.zeros((1,) + shape))[1].presyn]
+    rows = max(1, TRACE_TAPE_BYTES // (3 * 8 * sum(sizes)))
+    total = np.zeros(len(sizes))
     for start in range(0, repeats, rows):
-        inputs, targets = zip(*[draw() for _ in range(min(rows, repeats - start))])
-        stages = deltas(np.stack(inputs), np.stack(targets))  # per timestep or layer
+        draws = [(rng.uniform_array(np.size(x)).reshape(shape), _random_target(model, rng))
+                 for _ in range(min(rows, repeats - start))]
+        inputs, targets = zip(*draws)
+        stages = model.gradients(np.stack(inputs), np.stack(targets))[1]  # per timestep or layer
         for i in range(len(inputs)):
             total += np.asarray([l2_norm(stage[i]) for stage in stages])
-    return NormTrace(labels, [float(v) for v in total / repeats], meta)
+    labels = [str(k) for k in range(1, len(total) + 1)]
+    return NormTrace(labels, [float(v) for v in total / repeats])
 
 
 def write_norm_trace_csv(path, trace: NormTrace) -> None:

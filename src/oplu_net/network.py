@@ -7,15 +7,17 @@ weight matrices and the activation derivative, which for the pairwise
 permutation unit is the recorded swap permutation itself.
 
 Rows are samples. The forward and backward passes are written once, for a
-batch of rows, so training touches dgemm instead of dgemv; the per-sample
-API that the diagnostics use runs one sample as a batch of one.
+batch of rows, so training touches dgemm instead of dgemv; dense_forward
+and backprop run one sample as a batch of one. DenseNet and Srn share one
+model interface (loss, forward, gradients, kink_gap), so the diagnostics
+handle either model the same way.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import activate, activate_backward, check_activation, make_activation
+from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, random_orthogonal_rect, xavier_init
 
@@ -85,6 +87,20 @@ class DenseNet:
             named.append((f"layer{idx}.w", layer.w))
             named.append((f"layer{idx}.b", layer.b))
         return named
+
+    def forward(self, rows):
+        """Input rows -> (output rows, ForwardTape)."""
+        return _forward_batch(self, rows)
+
+    def gradients(self, rows, targets):
+        """Batch-mean gradients in named_parameters order, and the deltas of
+        every layer, first layer first."""
+        y, tape = _forward_batch(self, rows)
+        grads = _backprop_batch(self, tape, output_delta(self.loss, y, targets))
+        return grads.tensors(), grads.deltas
+
+    def kink_gap(self, tape) -> float:
+        return min(kink_gap(layer.activation, a) for layer, a in zip(self.layers, tape.presyn))
 
 
 @dataclass

@@ -10,20 +10,25 @@ explode no matter how far back they travel.
 
 The forward pass and BPTT are written once, for a batch of sequences that
 share their length; srn_forward and bptt run one sequence as a batch of
-one.
+one. Srn shares DenseNet's model interface (loss, forward, gradients,
+kink_gap), so the diagnostics handle either model the same way.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import activate, activate_backward, check_activation, make_activation
+from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
 from .linalg import Rng, l2_norm, random_orthogonal, random_orthogonal_rect, xavier_init
 
 
 @dataclass
 class Srn:
+    """One recurrent hidden layer and a linear readout after the last step."""
+
+    loss = "mse"  # final-step squared error; a class constant, not a field
+
     w_in: np.ndarray  # (input_dim, hidden)
     w_rec: np.ndarray  # (hidden, hidden)
     b_h: np.ndarray  # (hidden,)
@@ -75,6 +80,21 @@ class Srn:
     def named_parameters(self) -> list:
         return list(zip(("w_in", "w_rec", "b_h", "w_out", "b_out"), self.parameters()))
 
+    def forward(self, rows):
+        """rows shape (batch, T, input_dim) -> (y rows, SrnTape)."""
+        return _srn_forward_batch(self, rows)
+
+    def gradients(self, rows, targets):
+        """BPTT over every step of the rows: batch-mean gradients in
+        named_parameters order, and the hidden deltas, oldest step first."""
+        rows = np.asarray(rows, dtype=np.float64)
+        # a malformed batch is rejected by the forward pass before the horizon is used
+        grads, _, deltas = _bptt_batch(self, rows, targets, rows.shape[1] if rows.ndim == 3 else 1)
+        return grads.tensors(), deltas
+
+    def kink_gap(self, tape) -> float:
+        return kink_gap(self.hidden_activation, tape.presyn)
+
 
 @dataclass
 class SequenceSample:
@@ -86,6 +106,10 @@ class SequenceSample:
         self.target = np.asarray(self.target, dtype=np.float64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ShapeError(f"inputs must be a (T, input_dim) array with T >= 1, got {self.inputs.shape}")
+
+    def __iter__(self):
+        """Unpack as the (inputs, target) pair the diagnostics take."""
+        return iter((self.inputs, self.target))
 
 
 @dataclass
@@ -126,7 +150,11 @@ class SrnGradients:
 def _srn_forward_batch(net: Srn, inputs: np.ndarray):
     """inputs shape (batch, T, input_dim) -> (y rows, SrnTape)."""
     inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[2] != net.input_dim:
+        raise ShapeError(f"batch shape {inputs.shape} does not match (batch, T, {net.input_dim})")
     batch, steps = inputs.shape[0], inputs.shape[1]
+    if steps < 1:
+        raise ShapeError("need at least one timestep")
     x = inputs.transpose(1, 0, 2)
     presyn = np.empty((steps, batch, net.hidden_dim))
     hidden = np.empty((steps + 1, batch, net.hidden_dim))
@@ -186,19 +214,9 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
     return grads, mean_loss, deltas
 
 
-def _batch_of_one(net: Srn, inputs: np.ndarray) -> np.ndarray:
-    """One (T, input_dim) sequence as a batch of one, after checking its shape."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
-        raise ShapeError(f"inputs shape {inputs.shape} does not match input width {net.input_dim}")
-    if inputs.shape[0] < 1:
-        raise ShapeError("need at least one timestep")
-    return inputs[None]
-
-
 def srn_forward(net: Srn, inputs: np.ndarray):
     """Run the recurrence over one sequence and read out the final state."""
-    y, tape = _srn_forward_batch(net, _batch_of_one(net, inputs))
+    y, tape = _srn_forward_batch(net, np.asarray(inputs, dtype=np.float64)[None])
     masks = [None if m is None else m[0] for m in tape.masks]
     return y[0], SrnTape(tape.inputs[:, 0], tape.presyn[:, 0], tape.hidden[:, 0], masks)
 
@@ -211,19 +229,12 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     delta at each unrolled step, newest first, for gradient-flow
     diagnostics.
     """
-    inputs = _batch_of_one(net, sample.inputs)
+    inputs = np.asarray(sample.inputs, dtype=np.float64)[None]
     target = np.asarray(sample.target, dtype=np.float64)
     if target.shape != (net.output_dim,):
         raise ShapeError(f"target shape {target.shape} does not match output width {net.output_dim}")
     grads, _, deltas = _bptt_batch(net, inputs, target[None], cfg.horizon)
     return grads, [l2_norm(delta[0]) for delta in deltas[::-1]]
-
-
-def sequence_loss(net: Srn, sample: SequenceSample) -> float:
-    """Final-step squared error 0.5 * ||y - t||^2 for one sequence."""
-    y, _ = srn_forward(net, sample.inputs)
-    diff = y - np.asarray(sample.target, dtype=np.float64)
-    return float(0.5 * np.dot(diff, diff))
 
 
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:

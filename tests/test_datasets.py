@@ -102,12 +102,6 @@ class TestGenAdding:
         with pytest.raises(ValueError):
             gen_adding(1, 5, Rng(0))
 
-    def test_samples_view(self):
-        data = gen_adding(6, 4, Rng(2))
-        sample = data.sample(2)
-        assert np.array_equal(sample.inputs, data.inputs[2])
-        assert np.array_equal(sample.target, data.targets[2])
-
 
 class TestSplit:
     def test_small_disjoint_cover(self):

@@ -116,16 +116,40 @@ class TestTraceDeltaNorms:
         assert norms.max() / norms.min() <= 1 + 1e-8
 
 
-def _spy_batches(monkeypatch, name):
-    """Record the row count of every call to diagnostics.<name>(net, rows, ...)."""
+class TestSampleForms:
+    """A recurrent sample is an (inputs, target) pair, as a tuple or a
+    SequenceSample alike."""
+
+    @pytest.fixture
+    def net_and_samples(self):
+        net = build_srn(6, "oplu", init="orthogonal", seed=20)
+        sample = smooth_srn_sample(net, steps=4, seed=21)
+        return net, sample, (sample.inputs, sample.target)
+
+    def test_finite_diff_grad(self, net_and_samples):
+        net, sample, pair = net_and_samples
+        assert finite_diff_grad(net, pair).per_tensor == finite_diff_grad(net, sample).per_tensor
+
+    def test_min_nonsmooth_gap(self, net_and_samples):
+        net, sample, pair = net_and_samples
+        assert min_nonsmooth_gap(net, pair) == min_nonsmooth_gap(net, sample)
+
+    def test_trace_delta_norms(self, net_and_samples):
+        net, sample, pair = net_and_samples
+        assert (trace_delta_norms(net, pair, 5, Rng(22)).norms
+                == trace_delta_norms(net, sample, 5, Rng(22)).norms)
+
+
+def _spy_batches(monkeypatch, net):
+    """Record the row count of every call to net.gradients(rows, targets)."""
     calls = []
-    real = getattr(diagnostics, name)
+    real = type(net).gradients
 
     def spy(net, rows, *args):
         calls.append(len(rows))
         return real(net, rows, *args)
 
-    monkeypatch.setattr(diagnostics, name, spy)
+    monkeypatch.setattr(type(net), "gradients", spy)
     return calls
 
 
@@ -143,7 +167,7 @@ class TestBatchedTraceReplay:
         steps, hidden = 6, 8
         net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
         monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * steps * hidden * 8))
-        calls = _spy_batches(monkeypatch, "_bptt_batch")
+        calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((steps, 2)), np.zeros(1))
         rng = Rng(40)
         trace = trace_delta_norms(net, template, repeats, rng)
@@ -165,7 +189,7 @@ class TestBatchedTraceReplay:
     def test_dense_matches_per_sample_backprop(self, monkeypatch, loss, repeats, passes):
         net = build_mlp([5, 6, 6, 4], "oplu", loss=loss, seed=18)
         monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * (6 + 6 + 4) * 8))
-        calls = _spy_batches(monkeypatch, "_forward_batch")
+        calls = _spy_batches(monkeypatch, net)
         rng = Rng(41)
         trace = trace_delta_norms(net, (np.zeros(5), np.zeros(4)), repeats, rng)
         assert calls == passes
@@ -188,8 +212,8 @@ class TestBatchedTraceReplay:
 
     def test_pass_size_at_grad_diag_scale(self, monkeypatch):
         # 100 steps of 100 hidden units keep 240,000 tape bytes a row
-        calls = _spy_batches(monkeypatch, "_bptt_batch")
         net = build_srn(100, "oplu", init="orthogonal", seed=19)
+        calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((100, 2)), np.zeros(1))
         trace_delta_norms(net, template, 9, Rng(42))
         assert calls == [4, 4, 1]

@@ -73,6 +73,13 @@ class TestSrnForward:
         with pytest.raises(ShapeError):
             srn_forward(net, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (3, 0, 2), (5, 2)],
+                             ids=["wrong-width", "no-steps", "2-D"])
+    def test_batched_forward_rejects_bad_shapes(self, shape):
+        net = build_srn(4, "tanh")
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros(shape))
+
 
 class TestBptt:
     def test_single_step_reduces_to_dense_backprop(self):
