@@ -19,7 +19,6 @@ from .activations import (
 )
 from .errors import ConfigError, NumericError, ParseError, ShapeError
 from .linalg import (
-    Rng,
     expm,
     l2_norm,
     random_orthogonal,
@@ -27,6 +26,7 @@ from .linalg import (
     random_skew_symmetric,
     xavier_init,
 )
+from .rng import Rng
 from .network import (
     DenseLayer,
     DenseNet,

@@ -25,9 +25,10 @@ from .config import (
 from .datasets import gen_adding, load_mnist_idx, split
 from .diagnostics import NormTrace, trace_delta_norms, write_norm_trace_csv
 from .errors import ConfigError, NumericError, ParseError
-from .linalg import Rng, l2_norm
+from .linalg import l2_norm
 from .network import SgdMomentum, evaluate, init_dense, sgd_step, train_epoch
 from .recurrent import _bptt_batch, evaluate_adding, init_srn
+from .rng import Rng
 
 
 def _fmt(x: float) -> str:
@@ -194,7 +195,7 @@ def run_adding(cfg: dict) -> AddingReport:
     # oldest unrolled step first
     _, _, deltas = _bptt_batch(net, test.rows(slice(1)), test.targets[:1], horizon)
     norms = [l2_norm(delta[0]) for delta in deltas]
-    trace = NormTrace([str(t) for t in range(1, len(norms) + 1)], norms, {
+    trace = NormTrace(norms, {
         "kind": "srn", "horizon": str(horizon), "activation": cfg["activation"],
         "init": init, "seed": str(cfg["seed"]), "repeats": "1",
     })

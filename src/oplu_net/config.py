@@ -12,6 +12,7 @@ import re
 
 from .activations import make_activation
 from .errors import ConfigError
+from .linalg import INIT_KINDS
 
 
 def _bool(text: str) -> bool:
@@ -73,7 +74,7 @@ SCHEMAS = {
     },
 }
 
-INIT_CHOICES = ("auto", "xavier", "orthogonal")
+INIT_CHOICES = ("auto",) + INIT_KINDS
 
 
 def default_config(kind: str) -> dict:

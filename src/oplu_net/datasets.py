@@ -18,6 +18,10 @@ from .rng import Rng
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 IMAGE_SIDE = 28
+CLASSES = 10  # label values 0..9
+# gen_image_classes's largest prototype shift in pixels and pixel-noise weight
+IMAGE_JITTER = 3
+IMAGE_NOISE = 0.55
 
 
 class ScaledRows:
@@ -70,8 +74,8 @@ class MnistDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return MnistDataset(self.pixels[idx], self.labels[idx])
 
-    def one_hot_targets(self, classes: int = 10) -> np.ndarray:
-        out = np.zeros((len(self), classes))
+    def one_hot_targets(self) -> np.ndarray:
+        out = np.zeros((len(self), CLASSES))
         out[np.arange(len(self)), self.labels] = 1.0
         return out
 
@@ -238,29 +242,29 @@ def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
-def gen_image_classes(n: int, rng: Rng, classes: int = 10, jitter: int = 3,
-                      noise: float = 0.55) -> MnistDataset:
+def gen_image_classes(n: int, rng: Rng) -> MnistDataset:
     """Synthetic 28x28 labeled images for pipeline tests.
 
-    Each class gets a smoothed random prototype pattern; a sample is its
-    prototype shifted by up to `jitter` pixels plus uniform pixel noise.
+    Each of the CLASSES classes gets a smoothed random prototype pattern; a
+    sample is its prototype shifted by up to IMAGE_JITTER pixels, mixed with
+    uniform pixel noise at weight IMAGE_NOISE.
     Useful when no real image dataset is available on disk: the output
     round-trips through the IDX files exactly like the real thing.
     """
-    side = IMAGE_SIDE
+    side, jitter = IMAGE_SIDE, IMAGE_JITTER
     protos = []
-    for _ in range(classes):
+    for _ in range(CLASSES):
         coarse = rng.uniform_array(7 * 7).reshape(7, 7)
         fine = np.kron(coarse, np.ones((4, 4)))
         img = _box_blur(fine)
         lo, hi = img.min(), img.max()
         protos.append((img - lo) / (hi - lo))
-    labels = rng.randint_array(n, classes)
+    labels = rng.randint_array(n, CLASSES)
     shifts = rng.randint_array(2 * n, 2 * jitter + 1).reshape(n, 2) - jitter
     noise_pixels = rng.uniform_array(n * side * side).reshape(n, side, side)
     images = np.empty((n, side, side))
     for i in range(n):
         base = np.roll(protos[labels[i]], (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
-        images[i] = (1.0 - noise) * base + noise * noise_pixels[i]
+        images[i] = (1.0 - IMAGE_NOISE) * base + IMAGE_NOISE * noise_pixels[i]
     pixels = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
     return MnistDataset(pixels.reshape(n, side * side), labels.astype(np.int64))

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import activation_jacobian
-from .errors import ShapeError
-from .linalg import Rng, l2_norm
-from .network import DenseNet, loss_value
+from .linalg import l2_norm
+from .network import DenseNet, loss_value, random_target
+from .rng import Rng
 
 # Tape memory that one pass of trace_delta_norms may hold, in bytes.
 TRACE_TAPE_BYTES = 1 << 20
@@ -22,15 +22,13 @@ TRACE_TAPE_BYTES = 1 << 20
 
 @dataclass
 class NormTrace:
-    """Mean delta norms per layer or timestep, oldest first."""
+    """Mean delta norms per layer or timestep, oldest first; the CSV numbers
+    them from 1."""
 
-    labels: list
     norms: list
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.labels) != len(self.norms):
-            raise ShapeError(f"{len(self.labels)} labels but {len(self.norms)} norms")
         if any(n < 0 for n in self.norms):
             raise ValueError("norms must be non-negative")
 
@@ -114,14 +112,6 @@ def draw_smooth_sample(model, rng: Rng, make_sample, min_gap: float = 1e-3, atte
     raise RuntimeError(f"could not find a sample with kink gap > {min_gap} in {attempts} tries")
 
 
-def _random_target(model, rng: Rng) -> np.ndarray:
-    if model.loss == "softmax_xent":
-        target = np.zeros(model.output_dim)
-        target[rng.randint(model.output_dim)] = 1.0
-        return target
-    return rng.uniform_array(model.output_dim)
-
-
 def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     """Mean backpropagated delta norms over fresh random inputs and targets.
 
@@ -148,22 +138,22 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     rows = max(1, TRACE_TAPE_BYTES // (3 * 8 * sum(sizes)))
     total = np.zeros(len(sizes))
     for start in range(0, repeats, rows):
-        draws = [(rng.uniform_array(np.size(x)).reshape(shape), _random_target(model, rng))
+        draws = [(rng.uniform_array(np.size(x)).reshape(shape),
+                  random_target(model.loss, model.output_dim, rng))
                  for _ in range(min(rows, repeats - start))]
         inputs, targets = zip(*draws)
         stages = model.gradients(np.stack(inputs), np.stack(targets))[1]  # per timestep or layer
         for i in range(len(inputs)):
             total += np.asarray([l2_norm(stage[i]) for stage in stages])
-    labels = [str(k) for k in range(1, len(total) + 1)]
-    return NormTrace(labels, [float(v) for v in total / repeats])
+    return NormTrace([float(v) for v in total / repeats])
 
 
 def write_norm_trace_csv(path, trace: NormTrace) -> None:
     """CSV with '#'-prefixed metadata lines, then step,mean_l2_norm rows."""
     lines = [f"# {key}={trace.meta[key]}" for key in sorted(trace.meta)]
     lines.append("step,mean_l2_norm")
-    for label, norm in zip(trace.labels, trace.norms):
-        lines.append(f"{label},{float(norm)!r}")
+    for step, norm in enumerate(trace.norms, start=1):
+        lines.append(f"{step},{float(norm)!r}")
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
 

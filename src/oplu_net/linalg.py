@@ -3,7 +3,7 @@
 Matrices are row-major numpy float64 arrays of shape (rows, cols); vectors
 are 1-D float64 arrays. Orthogonal matrices are generated as the matrix
 exponential of random skew-symmetric matrices, which always lands in the
-special orthogonal group.
+special orthogonal group. Both models draw their weights with init_weights.
 """
 
 import math
@@ -13,15 +13,7 @@ import numpy as np
 from .errors import ShapeError
 from .rng import Rng
 
-__all__ = [
-    "Rng",
-    "expm",
-    "random_skew_symmetric",
-    "random_orthogonal",
-    "random_orthogonal_rect",
-    "xavier_init",
-    "l2_norm",
-]
+INIT_KINDS = ("xavier", "orthogonal")
 
 DEFAULT_SKEW_SCALE = math.pi
 
@@ -142,6 +134,17 @@ def xavier_init(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
         raise ValueError(f"fan_in and fan_out must be >= 1, got {fan_in}, {fan_out}")
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform_array(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
+
+
+def init_weights(init: str, rows: int, cols: int, rng: Rng) -> np.ndarray:
+    """A fresh (rows, cols) weight matrix of an INIT_KINDS kind: "xavier"
+    the Glorot fill, "orthogonal" the leading block of a random square
+    orthogonal matrix (a square one is exactly random_orthogonal's)."""
+    if init == "xavier":
+        return xavier_init(rows, cols, rng)
+    if init == "orthogonal":
+        return random_orthogonal_rect(rows, cols, rng)
+    raise ValueError(f"unknown init {init!r}")
 
 
 def l2_norm(v: np.ndarray) -> float:

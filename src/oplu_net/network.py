@@ -10,7 +10,8 @@ Rows are samples. The forward and backward passes are written once, for a
 batch of rows, so training touches dgemm instead of dgemv; dense_forward
 and backprop run one sample as a batch of one. DenseNet and Srn share one
 model interface (loss, forward, gradients, kink_gap), so the diagnostics
-handle either model the same way.
+handle either model the same way. Only this module knows the losses; Srn
+scores its final step through them too.
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +20,11 @@ import numpy as np
 
 from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
-from .linalg import Rng, random_orthogonal_rect, xavier_init
+from .linalg import init_weights
+from .rng import Rng
 
 LOSS_KINDS = ("mse", "softmax_xent")
+EVALUATE_CHUNK = 1024  # rows per forward pass of evaluate
 
 
 @dataclass
@@ -202,12 +205,6 @@ def dense_forward(net: DenseNet, x: np.ndarray):
     return y[0], _index_tape(tape, 0)
 
 
-def _softmax(y: np.ndarray) -> np.ndarray:
-    shifted = y - y.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def output_delta(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Error residual at the output.
 
@@ -221,14 +218,19 @@ def output_delta(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
     if y.shape != target.shape:
         raise ShapeError(f"output shape {y.shape} does not match target shape {target.shape}")
     if loss == "softmax_xent":
-        return _softmax(y) - target
+        e = np.exp(y - y.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True) - target
     if loss == "mse":
         return y - target
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _loss_rows(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
+def loss_rows(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Loss of each row (of the one sample, for a single output vector)."""
+    y = np.asarray(y, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if y.shape != target.shape:
+        raise ShapeError(f"output shape {y.shape} does not match target shape {target.shape}")
     if loss == "softmax_xent":
         shifted = y - y.max(axis=-1, keepdims=True)
         log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -239,11 +241,18 @@ def _loss_rows(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def loss_value(loss: str, y: np.ndarray, target: np.ndarray) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if y.shape != target.shape:
-        raise ShapeError(f"output shape {y.shape} does not match target shape {target.shape}")
-    return float(_loss_rows(loss, y, target).mean())
+    """Mean loss over the rows."""
+    return float(loss_rows(loss, y, target).mean())
+
+
+def random_target(loss: str, width: int, rng: Rng) -> np.ndarray:
+    """A random target of the given width: one-hot at a uniform class for
+    softmax_xent, uniform in [0, 1) otherwise."""
+    if loss == "softmax_xent":
+        target = np.zeros(width)
+        target[rng.randint(width)] = 1.0
+        return target
+    return rng.uniform_array(width)
 
 
 def backprop(net: DenseNet, tape: ForwardTape, delta_out: np.ndarray) -> Gradients:
@@ -300,25 +309,33 @@ class EpochStats:
     accuracy: float
 
 
-def evaluate(net: DenseNet, inputs, targets: np.ndarray, chunk: int = 1024) -> EpochStats:
+def _dataset_targets(inputs, targets) -> np.ndarray:
+    """targets as float64, checked to have one row per input row."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if len(inputs) == 0:
+        raise ValueError("empty dataset")
+    if targets.shape[:1] != (len(inputs),):
+        raise ShapeError(f"{len(inputs)} input rows but target shape {targets.shape}")
+    return targets
+
+
+def evaluate(net: DenseNet, inputs, targets: np.ndarray) -> EpochStats:
     """Mean loss and argmax accuracy over a dataset, without training.
 
     inputs is any source whose `[index]` gives float64 rows: an array, or
     an MnistDataset's `rows()`, which scales one chunk of byte pixels at a
-    time. Each chunk indexes it once and is done with the rows before the
-    next index.
+    time. Each chunk of EVALUATE_CHUNK rows indexes it once and is done
+    with the rows before the next index.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    n = len(inputs)
-    if n == 0:
-        raise ValueError("empty dataset")
+    targets = _dataset_targets(inputs, targets)
+    n, chunk = len(inputs), EVALUATE_CHUNK
     total_loss = 0.0
     correct = 0
     for start in range(0, n, chunk):
         x = inputs[start:start + chunk]
         t = targets[start:start + chunk]
         y, _ = _forward_batch(net, x)
-        total_loss += float(_loss_rows(net.loss, y, t).sum())
+        total_loss += float(loss_rows(net.loss, y, t).sum())
         correct += int((y.argmax(axis=1) == t.argmax(axis=1)).sum())
     return EpochStats(total_loss / n, correct / n)
 
@@ -333,10 +350,8 @@ def train_epoch(net: DenseNet, opt: SgdMomentum, inputs, targets: np.ndarray,
     any source whose `[index]` gives float64 rows, as for evaluate; each
     batch indexes it once and is done with the rows before the next index.
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = _dataset_targets(inputs, targets)
     n = len(inputs)
-    if n == 0:
-        raise ValueError("empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     order = list(range(n))
@@ -349,7 +364,7 @@ def train_epoch(net: DenseNet, opt: SgdMomentum, inputs, targets: np.ndarray,
         x = inputs[idx]
         t = targets[idx]
         y, tape = _forward_batch(net, x)
-        total_loss += float(_loss_rows(net.loss, y, t).sum())
+        total_loss += float(loss_rows(net.loss, y, t).sum())
         correct += int((y.argmax(axis=1) == t.argmax(axis=1)).sum())
         grads = _backprop_batch(net, tape, output_delta(net.loss, y, t))
         sgd_step(opt, params, grads.tensors())
@@ -360,9 +375,8 @@ def init_dense(widths, activation: str, loss: str, init: str, rng: Rng) -> Dense
     """Fresh network with the given hidden activation and a linear last layer.
 
     widths runs input..output; hidden layers get `activation`, the final
-    layer is linear. init is "xavier" or "orthogonal" (leading block of a
-    random square orthogonal matrix for rectangular shapes). Biases start
-    at zero.
+    layer is linear. init is a linalg.INIT_KINDS name. Biases start at
+    zero.
     """
     widths = list(widths)
     if len(widths) < 2:
@@ -371,11 +385,5 @@ def init_dense(widths, activation: str, loss: str, init: str, rng: Rng) -> Dense
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
         last = i == len(widths) - 2
         kind = "linear" if last else make_activation(activation, fan_out)
-        if init == "xavier":
-            w = xavier_init(fan_in, fan_out, rng)
-        elif init == "orthogonal":
-            w = random_orthogonal_rect(fan_in, fan_out, rng)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        layers.append(DenseLayer(w, np.zeros(fan_out), kind))
+        layers.append(DenseLayer(init_weights(init, fan_in, fan_out, rng), np.zeros(fan_out), kind))
     return DenseNet(layers, loss)

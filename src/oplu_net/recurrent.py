@@ -1,12 +1,12 @@
 """Simple recurrent network with truncated backpropagation through time.
 
 One recurrent hidden layer plus a linear readout taken after the final
-timestep. The loss is mean squared error on that final prediction, which
-is what the adding task needs. The BPTT delta recursion multiplies by the
-transposed recurrent matrix and the hidden activation's derivative each
-step; with an orthogonal recurrent matrix and the permutation activation
-both factors preserve the delta norm, so gradients neither vanish nor
-explode no matter how far back they travel.
+timestep. The loss, Srn.loss, is network's mean squared error on that
+final prediction, which is what the adding task needs. The BPTT delta
+recursion multiplies by the transposed recurrent matrix and the hidden
+activation's derivative each step; with an orthogonal recurrent matrix and
+the permutation activation both factors preserve the delta norm, so
+gradients neither vanish nor explode no matter how far back they travel.
 
 The forward pass and BPTT are written once, for a batch of sequences that
 share their length; srn_forward and bptt run one sequence as a batch of
@@ -20,7 +20,11 @@ import numpy as np
 
 from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
-from .linalg import Rng, l2_norm, random_orthogonal, random_orthogonal_rect, xavier_init
+from .linalg import init_weights, l2_norm
+from .network import loss_rows, loss_value, output_delta
+from .rng import Rng
+
+EVALUATE_ADDING_CHUNK = 512  # rows per tape-free forward pass of evaluate_adding
 
 
 @dataclass
@@ -28,6 +32,7 @@ class Srn:
     """One recurrent hidden layer and a linear readout after the last step."""
 
     loss = "mse"  # final-step squared error; a class constant, not a field
+    _PARAMETERS = ("w_in", "w_rec", "b_h", "w_out", "b_out")
 
     w_in: np.ndarray  # (input_dim, hidden)
     w_rec: np.ndarray  # (hidden, hidden)
@@ -38,11 +43,8 @@ class Srn:
     h0: np.ndarray = None
 
     def __post_init__(self):
-        self.w_in = np.asarray(self.w_in, dtype=np.float64)
-        self.w_rec = np.asarray(self.w_rec, dtype=np.float64)
-        self.b_h = np.asarray(self.b_h, dtype=np.float64)
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        self.b_out = np.asarray(self.b_out, dtype=np.float64)
+        for name in self._PARAMETERS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         h = self.w_rec.shape[0]
         if self.w_rec.shape != (h, h):
             raise ShapeError(f"recurrent matrix must be square, got {self.w_rec.shape}")
@@ -75,10 +77,10 @@ class Srn:
         return self.w_out.shape[1]
 
     def parameters(self) -> list:
-        return [self.w_in, self.w_rec, self.b_h, self.w_out, self.b_out]
+        return [getattr(self, name) for name in self._PARAMETERS]
 
     def named_parameters(self) -> list:
-        return list(zip(("w_in", "w_rec", "b_h", "w_out", "b_out"), self.parameters()))
+        return list(zip(self._PARAMETERS, self.parameters()))
 
     def forward(self, rows):
         """rows shape (batch, T, input_dim) -> (y rows, SrnTape)."""
@@ -87,9 +89,8 @@ class Srn:
     def gradients(self, rows, targets):
         """BPTT over every step of the rows: batch-mean gradients in
         named_parameters order, and the hidden deltas, oldest step first."""
-        rows = np.asarray(rows, dtype=np.float64)
-        # a malformed batch is rejected by the forward pass before the horizon is used
-        grads, _, deltas = _bptt_batch(self, rows, targets, rows.shape[1] if rows.ndim == 3 else 1)
+        rows = _as_batch(self, rows)
+        grads, _, deltas = _bptt_batch(self, rows, targets, rows.shape[1])
         return grads.tensors(), deltas
 
     def kink_gap(self, tape) -> float:
@@ -147,14 +148,20 @@ class SrnGradients:
         return [self.dw_in, self.dw_rec, self.db_h, self.dw_out, self.db_out]
 
 
-def _srn_forward_batch(net: Srn, inputs: np.ndarray):
-    """inputs shape (batch, T, input_dim) -> (y rows, SrnTape)."""
+def _as_batch(net: Srn, inputs) -> np.ndarray:
+    """inputs as a float64 (batch, T, input_dim) array with T >= 1."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != net.input_dim:
         raise ShapeError(f"batch shape {inputs.shape} does not match (batch, T, {net.input_dim})")
-    batch, steps = inputs.shape[0], inputs.shape[1]
-    if steps < 1:
+    if inputs.shape[1] < 1:
         raise ShapeError("need at least one timestep")
+    return inputs
+
+
+def _srn_forward_batch(net: Srn, inputs: np.ndarray):
+    """inputs shape (batch, T, input_dim) -> (y rows, SrnTape)."""
+    inputs = _as_batch(net, inputs)
+    batch, steps = inputs.shape[0], inputs.shape[1]
     x = inputs.transpose(1, 0, 2)
     presyn = np.empty((steps, batch, net.hidden_dim))
     hidden = np.empty((steps + 1, batch, net.hidden_dim))
@@ -188,7 +195,7 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
     steps, batch = tape.presyn.shape[0], tape.presyn.shape[1]
     unroll = min(steps, horizon)
     first = steps - unroll  # index of the oldest unrolled step
-    residual = y - np.asarray(targets, dtype=np.float64)
+    residual = output_delta(net.loss, y, targets)
     deltas = np.empty((unroll, batch, net.hidden_dim))
     w_rec_t = np.ascontiguousarray(net.w_rec.T)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +217,7 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
             dw_out=tape.hidden[steps].T @ residual / batch,
             db_out=residual.mean(axis=0),
         )
-        mean_loss = float(0.5 * np.square(residual).sum(axis=1).mean())
+        mean_loss = loss_value(net.loss, y, targets)
     return grads, mean_loss, deltas
 
 
@@ -229,11 +236,7 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     delta at each unrolled step, newest first, for gradient-flow
     diagnostics.
     """
-    inputs = np.asarray(sample.inputs, dtype=np.float64)[None]
-    target = np.asarray(sample.target, dtype=np.float64)
-    if target.shape != (net.output_dim,):
-        raise ShapeError(f"target shape {target.shape} does not match output width {net.output_dim}")
-    grads, _, deltas = _bptt_batch(net, inputs, target[None], cfg.horizon)
+    grads, _, deltas = _bptt_batch(net, sample.inputs[None], sample.target[None], cfg.horizon)
     return grads, [l2_norm(delta[0]) for delta in deltas[::-1]]
 
 
@@ -241,7 +244,7 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
     """The outputs of _srn_forward_batch, computed without keeping its tape:
     each step's hidden state overwrites the last, and oplu swap masks are
     computed and discarded."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _as_batch(net, inputs)
     batch, steps = inputs.shape[0], inputs.shape[1]
     a = np.empty((batch, net.hidden_dim))
     recurrent = np.empty((batch, net.hidden_dim))
@@ -261,43 +264,32 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
     return y
 
 
-def evaluate_adding(net: Srn, dataset, threshold: float, chunk: int = 512):
-    """Mean 0.5*(y - t)^2 and the fraction of predictions within threshold.
+def evaluate_adding(net: Srn, dataset, threshold: float):
+    """Mean loss and the fraction of predictions within threshold of
+    their targets.
 
     dataset gives its targets and, through `rows(index)`, the float64
-    inputs of each chunk (an AddingDataset).
+    inputs of each chunk of EVALUATE_ADDING_CHUNK rows (an AddingDataset).
     """
-    targets = dataset.targets
-    n = len(dataset)
+    n, chunk = len(dataset), EVALUATE_ADDING_CHUNK
     if n == 0:
         raise ValueError("empty dataset")
-    total_sq = 0.0
+    total_loss = 0.0
     hits = 0
     for start in range(0, n, chunk):
         y = _srn_predict_batch(net, dataset.rows(slice(start, start + chunk)))
-        err = y - targets[start:start + chunk]
-        total_sq += float(0.5 * np.square(err).sum())
-        hits += int((np.abs(err) < threshold).all(axis=1).sum())
-    return total_sq / n, hits / n
+        t = dataset.targets[start:start + chunk]
+        total_loss += float(loss_rows(net.loss, y, t).sum())
+        hits += int((np.abs(y - t) < threshold).all(axis=1).sum())
+    return total_loss / n, hits / n
 
 
 def init_srn(input_dim: int, hidden: int, output_dim: int, activation: str, init: str,
              rng: Rng) -> Srn:
-    """Fresh SRN with zero biases and zero initial state.
-
-    init "orthogonal" draws every weight matrix from the exponential of a
-    random skew-symmetric matrix (rectangles take the leading block);
-    "xavier" uses the uniform fan-based fill.
-    """
-    if init == "orthogonal":
-        w_in = random_orthogonal_rect(input_dim, hidden, rng)
-        w_rec = random_orthogonal(hidden, rng)
-        w_out = random_orthogonal_rect(hidden, output_dim, rng)
-    elif init == "xavier":
-        w_in = xavier_init(input_dim, hidden, rng)
-        w_rec = xavier_init(hidden, hidden, rng)
-        w_out = xavier_init(hidden, output_dim, rng)
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    """Fresh SRN with zero biases and zero initial state; init is a
+    linalg.INIT_KINDS name, drawn for w_in, w_rec and w_out in turn."""
+    w_in = init_weights(init, input_dim, hidden, rng)
+    w_rec = init_weights(init, hidden, hidden, rng)
+    w_out = init_weights(init, hidden, output_dim, rng)
     return Srn(w_in, w_rec, np.zeros(hidden), w_out, np.zeros(output_dim),
                make_activation(activation, hidden))

@@ -17,6 +17,8 @@ from oplu_net import (
     random_skew_symmetric,
     xavier_init,
 )
+from oplu_net.config import INIT_CHOICES
+from oplu_net.linalg import INIT_KINDS, init_weights
 from oplu_net.rng import UNIFORM_BLOCK
 
 
@@ -146,6 +148,27 @@ class TestRandomOrthogonal:
         assert np.abs(tall.T @ tall - np.eye(3)).max() <= 1e-10
         wide = random_orthogonal_rect(2, 10, rng)
         assert np.abs(wide @ wide.T - np.eye(2)).max() <= 1e-10
+
+
+class TestInitWeights:
+    def test_square_orthogonal_is_random_orthogonal_bit_for_bit(self):
+        rect_rng, square_rng = Rng(5), Rng(5)
+        rect = init_weights("orthogonal", 6, 6, rect_rng)
+        assert rect.tobytes() == random_orthogonal(6, square_rng).tobytes()
+        assert rect_rng.next_u64() == square_rng.next_u64()  # the same draws, in the same order
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["wide", "tall"])
+    def test_kinds_are_the_initializers(self, shape):
+        assert np.array_equal(init_weights("xavier", *shape, Rng(2)), xavier_init(*shape, Rng(2)))
+        assert np.array_equal(init_weights("orthogonal", *shape, Rng(2)),
+                              random_orthogonal_rect(*shape, Rng(2)))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown init 'glorot'"):
+            init_weights("glorot", 2, 2, Rng(0))
+
+    def test_config_offers_every_kind(self):
+        assert INIT_CHOICES == ("auto",) + INIT_KINDS
 
 
 class TestXavierInit:

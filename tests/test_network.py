@@ -21,7 +21,8 @@ from oplu_net import (
     sgd_step,
     train_epoch,
 )
-from oplu_net.network import _backprop_batch, _forward_batch
+from oplu_net import network
+from oplu_net.network import _backprop_batch, _forward_batch, loss_rows, random_target
 
 
 class TestDenseForward:
@@ -112,6 +113,16 @@ class TestLosses:
         y = np.array([1000.0, -1000.0])
         t = np.array([0.0, 1.0])
         assert np.isfinite(loss_value("softmax_xent", y, t))
+
+    def test_loss_rows_rejects_a_broadcasting_target(self):
+        # (2, 1) against (2,) would broadcast to (2, 2) rows
+        with pytest.raises(ShapeError):
+            loss_rows("mse", np.zeros((2, 1)), np.zeros(2))
+
+    def test_random_target_draws(self):
+        one_hot = random_target("softmax_xent", 4, Rng(3))
+        assert one_hot.sum() == 1.0 and one_hot[Rng(3).randint(4)] == 1.0
+        assert np.array_equal(random_target("mse", 4, Rng(3)), Rng(3).uniform_array(4))
 
 
 class TestBackprop:
@@ -250,7 +261,8 @@ class TestTrainEpoch:
         assert evaluate(net, inputs, targets).accuracy == 1.0
 
     @pytest.mark.parametrize("activation", ["oplu", "relu"])
-    def test_byte_pixel_source_equals_float_array(self, activation):
+    def test_byte_pixel_source_equals_float_array(self, activation, monkeypatch):
+        monkeypatch.setattr(network, "EVALUATE_CHUNK", 64)  # three chunks, the last one short
         ds = gen_image_classes(150, Rng(4))
         targets = ds.one_hot_targets()
         results = []
@@ -258,7 +270,7 @@ class TestTrainEpoch:
             net = build_mlp([784, 12, 10], activation, loss="softmax_xent", init="orthogonal", seed=1)
             rng = Rng(9)
             stats = train_epoch(net, SgdMomentum(0.05, 0.9), inputs, targets, 32, rng)
-            results.append((stats, evaluate(net, inputs, targets, chunk=64), net, rng.next_u64()))
+            results.append((stats, evaluate(net, inputs, targets), net, rng.next_u64()))
         (stats_a, eval_a, net_a, draw_a), (stats_b, eval_b, net_b, draw_b) = results
         assert ds.pixels.dtype == np.uint8
         assert stats_a == stats_b and eval_a == eval_b and draw_a == draw_b
@@ -270,6 +282,11 @@ class TestTrainEpoch:
         with pytest.raises(ValueError):
             train_epoch(net, SgdMomentum(0.1, 0.0), np.zeros((0, 2)), np.zeros((0, 2)), 4, Rng(0))
 
+    def test_fewer_target_rows_than_inputs_rejected(self):
+        net = build_mlp([2, 2], "linear")
+        with pytest.raises(ShapeError):
+            train_epoch(net, SgdMomentum(0.1, 0.0), np.zeros((6, 2)), np.zeros((4, 2)), 4, Rng(0))
+
     def test_full_batch_step_decreases_smooth_loss(self):
         inputs, targets = toy_blobs(20)
         net = build_mlp([2, 6, 2], "tanh", loss="mse", seed=8)
@@ -277,6 +294,22 @@ class TestTrainEpoch:
         train_epoch(net, SgdMomentum(0.01, 0.0), inputs, targets, len(inputs), Rng(0))
         after = evaluate(net, inputs, targets).mean_loss
         assert after < before
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 2), (7, 2)],
+                             ids=["wrong-width", "fewer-rows", "more-rows"])
+    def test_mismatched_targets_rejected(self, shape):
+        net = build_mlp([2, 2], "linear")
+        with pytest.raises(ShapeError):
+            evaluate(net, np.zeros((6, 2)), np.zeros(shape))
+
+    def test_extra_target_rows_after_whole_chunks_rejected(self, monkeypatch):
+        # the chunks of 3 rows never reach the seventh target row
+        monkeypatch.setattr(network, "EVALUATE_CHUNK", 3)
+        net = build_mlp([2, 2], "linear")
+        with pytest.raises(ShapeError):
+            evaluate(net, np.zeros((6, 2)), np.zeros((7, 2)))
 
 
 class TestBatchEquivalence:

@@ -17,6 +17,7 @@ from oplu_net import (
     finite_diff_grad,
     gen_adding,
     l2_norm,
+    loss_value,
     output_delta,
     random_orthogonal,
     srn_forward,
@@ -79,6 +80,40 @@ class TestSrnForward:
         net = build_srn(4, "tanh")
         with pytest.raises(ShapeError):
             net.forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (3, 0, 2), (5, 2)],
+                             ids=["wrong-width", "no-steps", "2-D"])
+    def test_tape_free_forward_rejects_bad_shapes(self, shape):
+        net = build_srn(4, "tanh")
+        with pytest.raises(ShapeError):
+            _srn_predict_batch(net, np.zeros(shape))
+
+
+class TestTargetShapes:
+    """Every SRN gradient path rejects a target that does not match the
+    readout, instead of broadcasting it against the output rows."""
+
+    def test_gradients_reject_flat_targets(self):
+        net = build_srn(4, "tanh")
+        with pytest.raises(ShapeError):
+            net.gradients(np.zeros((3, 5, 2)), np.ones(3))
+
+    def test_finite_diff_grad_rejects_wide_target(self):
+        net = build_srn(4, "tanh")
+        with pytest.raises(ShapeError):
+            finite_diff_grad(net, (np.zeros((5, 2)), np.ones(2)))
+
+    def test_bptt_rejects_wide_target(self):
+        net = build_srn(4, "tanh")
+        with pytest.raises(ShapeError):
+            bptt(net, SequenceSample(np.zeros((5, 2)), np.ones(2)), BpttConfig(5))
+
+    def test_batch_loss_is_network_mse(self):
+        net = build_srn(4, "tanh", seed=3)
+        rows = Rng(5).uniform_array(3 * 6 * 2).reshape(3, 6, 2)
+        targets = Rng(6).uniform_array(3).reshape(3, 1)
+        _, mean_loss, _ = _bptt_batch(net, rows, targets, 6)
+        assert mean_loss == loss_value("mse", net.forward(rows)[0], targets)
 
 
 class TestBptt:
@@ -285,6 +320,11 @@ class TestEvaluateAdding:
         data = gen_adding(5, 3, Rng(0))
         with pytest.raises(ValueError):
             evaluate_adding(net, data.take([]), threshold=0.04)
+
+    def test_model_that_does_not_read_two_channels_rejected(self):
+        net = build_srn(4, "tanh", input_dim=3)
+        with pytest.raises(ShapeError):
+            evaluate_adding(net, gen_adding(5, 3, Rng(0)), threshold=0.04)
 
 
 class TestSrnValidation:
