@@ -31,8 +31,6 @@ from .network import (
     DenseLayer,
     DenseNet,
     SgdMomentum,
-    backprop,
-    dense_forward,
     evaluate,
     init_dense,
     loss_value,

@@ -25,9 +25,8 @@ from .config import (
 from .datasets import gen_adding, load_mnist_idx, split
 from .diagnostics import NormTrace, trace_delta_norms, write_norm_trace_csv
 from .errors import ConfigError, NumericError, ParseError
-from .linalg import l2_norm
 from .network import SgdMomentum, evaluate, init_dense, sgd_step, train_epoch
-from .recurrent import _bptt_batch, evaluate_adding, init_srn
+from .recurrent import BpttConfig, SequenceSample, _bptt_batch, bptt, evaluate_adding, init_srn
 from .rng import Rng
 
 
@@ -168,7 +167,7 @@ def run_adding(cfg: dict) -> AddingReport:
             for it in range(cfg["iterations_per_epoch"]):
                 idx = [order[(it * batch + k) % n_train] for k in range(batch)]
                 grads, batch_loss, _ = _bptt_batch(net, train.rows(idx), train.targets[idx], horizon)
-                sgd_step(opt, params, grads.tensors())
+                sgd_step(opt, params, grads)
                 epoch_loss += batch_loss
             valid_mse, _ = evaluate_adding(net, valid, cfg["threshold"])
         except NumericError:
@@ -193,8 +192,7 @@ def run_adding(cfg: dict) -> AddingReport:
         f.write("\n".join(rows) + "\n")
     # delta-norm trace of the trained model on the first test sequence,
     # oldest unrolled step first
-    _, _, deltas = _bptt_batch(net, test.rows(slice(1)), test.targets[:1], horizon)
-    norms = [l2_norm(delta[0]) for delta in deltas]
+    _, norms = bptt(net, SequenceSample(test.rows(0), test.targets[0]), BpttConfig(horizon))
     trace = NormTrace(norms, {
         "kind": "srn", "horizon": str(horizon), "activation": cfg["activation"],
         "init": init, "seed": str(cfg["seed"]), "repeats": "1",

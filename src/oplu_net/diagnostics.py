@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import activation_jacobian
+from .errors import ShapeError
 from .linalg import l2_norm
 from .network import DenseNet, loss_value, random_target
 from .rng import Rng
@@ -69,11 +70,16 @@ def finite_diff_grad(model, sample, epsilon: float = 1e-6) -> GradCheckReport:
     model is a DenseNet or an Srn, and sample its (input, target) pair: an
     input vector, or a (T, input_dim) sequence scored at its final step.
     Relative error per scalar is |g_a - g_f| / max(|g_a|, |g_f|, 1e-8).
+    Raises ShapeError unless the gradients match the parameters in count and shape.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rows, targets = _as_rows(sample)
     analytic, _ = model.gradients(rows, targets)
+    shapes = [np.shape(g) for g in analytic]
+    expected = [p.shape for _, p in model.named_parameters()]
+    if shapes != expected:
+        raise ShapeError(f"analytic gradient shapes {shapes} do not match parameter shapes {expected}")
     report = {}
     for (name, param), grad in zip(model.named_parameters(), analytic):
         worst = 0.0
@@ -158,13 +164,15 @@ def write_norm_trace_csv(path, trace: NormTrace) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def assemble_dense_jacobian(net: DenseNet, tape) -> np.ndarray:
-    """End-to-end forward Jacobian as the explicit per-layer matrix product.
+def assemble_dense_jacobian(net: DenseNet, x) -> np.ndarray:
+    """End-to-end forward Jacobian at input vector x as a per-layer product.
 
     Returns M with d(output) = d(input) @ M, the product of each layer's
     weight matrix and its activation_jacobian.
     """
+    _, tape = net.forward(np.asarray(x, dtype=np.float64)[None])
     m = np.eye(net.input_dim)
     for layer, a, mask in zip(net.layers, tape.presyn, tape.masks):
-        m = m @ layer.w @ activation_jacobian(layer.activation, a, mask)
+        row_mask = None if mask is None else mask[0]
+        m = m @ layer.w @ activation_jacobian(layer.activation, a[0], row_mask)
     return m

@@ -7,14 +7,14 @@ weight matrices and the activation derivative, which for the pairwise
 permutation unit is the recorded swap permutation itself.
 
 Rows are samples. The forward and backward passes are written once, for a
-batch of rows, so training touches dgemm instead of dgemv; dense_forward
-and backprop run one sample as a batch of one. DenseNet and Srn share one
-model interface (loss, forward, gradients, kink_gap), so the diagnostics
-handle either model the same way. Only this module knows the losses; Srn
-scores its final step through them too.
+batch of rows, so training touches dgemm instead of dgemv; one sample is a
+batch of one, and gradients are tensor lists in named_parameters order.
+DenseNet and Srn share one model interface (loss, forward, gradients,
+kink_gap), so the diagnostics handle either model the same way. Only this
+module knows the losses; Srn scores its final step through them too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class DenseNet:
         """Batch-mean gradients in named_parameters order, and the deltas of
         every layer, first layer first."""
         y, tape = _forward_batch(self, rows)
-        grads = _backprop_batch(self, tape, output_delta(self.loss, y, targets))
-        return grads.tensors(), grads.deltas
+        return _backprop_batch(self, tape, output_delta(self.loss, y, targets))
 
     def kink_gap(self, tape) -> float:
         return min(kink_gap(layer.activation, a) for layer, a in zip(self.layers, tape.presyn))
@@ -108,46 +107,13 @@ class DenseNet:
 
 @dataclass
 class ForwardTape:
-    """Cached activations of one forward pass, consumed by backprop.
-
-    Every array has one row per sample; dense_forward's tape holds the one
-    row of its sample.
-    """
+    """Cached activations of one forward pass, consumed by _backprop_batch;
+    every array has one row per sample."""
 
     x: np.ndarray
     presyn: list  # a per layer
     postsyn: list  # z per layer
     masks: list  # swap mask per layer, None for scalar activations
-
-
-def _index_tape(tape: ForwardTape, index) -> ForwardTape:
-    """tape with every array indexed by `index`: 0 takes the row of a batch
-    of one, None makes a single sample's tape a batch of one again."""
-    def pick(v):
-        return None if v is None else v[index]
-
-    return ForwardTape(pick(tape.x), [pick(a) for a in tape.presyn],
-                       [pick(z) for z in tape.postsyn], [pick(m) for m in tape.masks])
-
-
-@dataclass
-class Gradients:
-    """Parameter gradients plus the backpropagated deltas.
-
-    From a batch, the parameter gradients are batch means and the deltas
-    keep one row per sample.
-    """
-
-    dw: list
-    db: list
-    deltas: list = field(default_factory=list)  # delta per layer (w.r.t. presynaptic)
-    input_delta: np.ndarray = None  # loss gradient w.r.t. the input; set by backprop only
-
-    def tensors(self) -> list:
-        flat = []
-        for w_grad, b_grad in zip(self.dw, self.db):
-            flat.extend((w_grad, b_grad))
-        return flat
 
 
 def _forward_batch(net: DenseNet, x_rows: np.ndarray):
@@ -170,48 +136,39 @@ def _forward_batch(net: DenseNet, x_rows: np.ndarray):
     return z, ForwardTape(x_rows, presyn, postsyn, masks)
 
 
-def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray) -> Gradients:
-    """Batch-averaged gradients; deltas keep one row per sample.
+def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray):
+    """Batch-mean gradients in named_parameters order, and the deltas of
+    every layer, first layer first, with one row per sample.
 
-    The delta is not carried below the first layer: no batch caller reads
-    the input delta, and backprop computes it from deltas[0].
+    The delta is not carried below the first layer: nothing reads the input
+    delta, which is deltas[0] @ net.layers[0].w.T.
     """
     delta_hat = np.asarray(delta_out_rows, dtype=np.float64)
     batch = delta_hat.shape[0]
     n_layers = len(net.layers)
-    dw = [None] * n_layers
-    db = [None] * n_layers
+    grads = [None] * (2 * n_layers)
     deltas = [None] * n_layers
     for n in range(n_layers - 1, -1, -1):
         layer = net.layers[n]
         delta = activate_backward(layer.activation, delta_hat, tape.presyn[n], tape.postsyn[n],
                                   tape.masks[n])
         z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
-        dw[n] = z_prev.T @ delta
-        dw[n] /= batch
-        db[n] = delta.mean(axis=0)
+        dw = z_prev.T @ delta
+        dw /= batch
+        grads[2 * n:2 * n + 2] = dw, delta.mean(axis=0)
         deltas[n] = delta
         if n > 0:
             delta_hat = delta @ layer.w.T
-    return Gradients(dw, db, deltas)
-
-
-def dense_forward(net: DenseNet, x: np.ndarray):
-    """Run the network on one input vector, returning output and tape."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise ShapeError(f"input shape {x.shape} does not match network input width {net.input_dim}")
-    y, tape = _forward_batch(net, x[None])
-    return y[0], _index_tape(tape, 0)
+    return grads, deltas
 
 
 def output_delta(loss: str, y: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Error residual at the output.
 
     softmax_xent treats y as logits (linear final layer) and returns
-    softmax(y) - target, the delta with respect to those logits. mse
-    returns y - target, the gradient of 0.5 * ||y - t||^2 with respect to
-    the network output; backprop folds in the final activation derivative.
+    softmax(y) - target, the delta with respect to those logits. mse returns
+    y - target, the gradient of 0.5 * ||y - t||^2 with respect to the
+    output; _backprop_batch folds in the final activation derivative.
     """
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -253,26 +210,6 @@ def random_target(loss: str, width: int, rng: Rng) -> np.ndarray:
         target[rng.randint(width)] = 1.0
         return target
     return rng.uniform_array(width)
-
-
-def backprop(net: DenseNet, tape: ForwardTape, delta_out: np.ndarray) -> Gradients:
-    """Backpropagate one sample's output residual into parameter gradients.
-
-    delta_out is the loss gradient with respect to the network output
-    (see output_delta). Returns gradients along with the per-layer deltas
-    and the delta propagated all the way to the input, which the
-    gradient-flow diagnostics consume.
-    """
-    delta_hat = np.asarray(delta_out, dtype=np.float64)
-    if delta_hat.shape != (net.output_dim,):
-        raise ShapeError(
-            f"delta shape {delta_hat.shape} does not match network output width {net.output_dim}"
-        )
-    if len(tape.presyn) != len(net.layers):
-        raise ValueError("tape does not match network architecture")
-    grads = _backprop_batch(net, _index_tape(tape, None), delta_hat[None])
-    input_delta = (grads.deltas[0] @ net.layers[0].w.T)[0]
-    return Gradients(grads.dw, grads.db, [d[0] for d in grads.deltas], input_delta)
 
 
 class SgdMomentum:
@@ -344,8 +281,8 @@ def train_epoch(net: DenseNet, opt: SgdMomentum, inputs, targets: np.ndarray,
                 batch_size: int, rng: Rng) -> EpochStats:
     """One pass over the dataset in shuffled mini-batches.
 
-    Gradients are averaged within each batch and one optimizer step is
-    taken per batch. The returned loss/accuracy are running statistics
+    Each batch's gradients are averaged and one optimizer step is taken
+    per batch. The returned loss/accuracy are running statistics
     gathered from each batch's forward pass before its update. inputs is
     any source whose `[index]` gives float64 rows, as for evaluate; each
     batch indexes it once and is done with the rows before the next index.
@@ -366,8 +303,8 @@ def train_epoch(net: DenseNet, opt: SgdMomentum, inputs, targets: np.ndarray,
         y, tape = _forward_batch(net, x)
         total_loss += float(loss_rows(net.loss, y, t).sum())
         correct += int((y.argmax(axis=1) == t.argmax(axis=1)).sum())
-        grads = _backprop_batch(net, tape, output_delta(net.loss, y, t))
-        sgd_step(opt, params, grads.tensors())
+        grads, _ = _backprop_batch(net, tape, output_delta(net.loss, y, t))
+        sgd_step(opt, params, grads)
     return EpochStats(total_loss / n, correct / n)
 
 

@@ -10,8 +10,8 @@ gradients neither vanish nor explode no matter how far back they travel.
 
 The forward pass and BPTT are written once, for a batch of sequences that
 share their length; srn_forward and bptt run one sequence as a batch of
-one. Srn shares DenseNet's model interface (loss, forward, gradients,
-kink_gap), so the diagnostics handle either model the same way.
+one, and gradients are tensor lists in named_parameters order. Srn shares
+DenseNet's model interface (loss, forward, gradients, kink_gap).
 """
 
 from dataclasses import dataclass
@@ -91,7 +91,7 @@ class Srn:
         named_parameters order, and the hidden deltas, oldest step first."""
         rows = _as_batch(self, rows)
         grads, _, deltas = _bptt_batch(self, rows, targets, rows.shape[1])
-        return grads.tensors(), deltas
+        return grads, deltas
 
     def kink_gap(self, tape) -> float:
         return kink_gap(self.hidden_activation, tape.presyn)
@@ -136,18 +136,6 @@ class SrnTape:
     masks: list  # swap mask per step, None for scalar activations
 
 
-@dataclass
-class SrnGradients:
-    dw_in: np.ndarray
-    dw_rec: np.ndarray
-    db_h: np.ndarray
-    dw_out: np.ndarray
-    db_out: np.ndarray
-
-    def tensors(self) -> list:
-        return [self.dw_in, self.dw_rec, self.db_h, self.dw_out, self.db_out]
-
-
 def _as_batch(net: Srn, inputs) -> np.ndarray:
     """inputs as a float64 (batch, T, input_dim) array with T >= 1."""
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -188,9 +176,9 @@ def _srn_forward_batch(net: Srn, inputs: np.ndarray):
 
 
 def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
-    """Batch-averaged truncated BPTT gradients, the batch mean loss and the
-    hidden deltas: deltas[k, i] belongs to sample i at the k-th of the
-    unrolled steps, oldest first."""
+    """Batch-mean truncated BPTT gradients in named_parameters order, the
+    batch mean loss and the hidden deltas: deltas[k, i] belongs to sample i
+    at the k-th of the unrolled steps, oldest first."""
     y, tape = _srn_forward_batch(net, inputs)
     steps, batch = tape.presyn.shape[0], tape.presyn.shape[1]
     unroll = min(steps, horizon)
@@ -210,13 +198,13 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
         # shared weights: one product sums each gradient over steps and samples
         d = deltas.reshape(-1, net.hidden_dim)
         x_used = tape.inputs[first:].reshape(-1, net.input_dim)
-        grads = SrnGradients(
-            dw_in=x_used.T @ d / batch,
-            dw_rec=tape.hidden[first:steps].reshape(-1, net.hidden_dim).T @ d / batch,
-            db_h=d.sum(axis=0) / batch,
-            dw_out=tape.hidden[steps].T @ residual / batch,
-            db_out=residual.mean(axis=0),
-        )
+        grads = [
+            x_used.T @ d / batch,  # w_in
+            tape.hidden[first:steps].reshape(-1, net.hidden_dim).T @ d / batch,  # w_rec
+            d.sum(axis=0) / batch,  # b_h
+            tape.hidden[steps].T @ residual / batch,  # w_out
+            residual.mean(axis=0),  # b_out
+        ]
         mean_loss = loss_value(net.loss, y, targets)
     return grads, mean_loss, deltas
 
@@ -232,12 +220,12 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     """Truncated BPTT gradients of the final-step squared error.
 
     Unrolls min(T, horizon) steps backward, summing shared-weight
-    gradients over timesteps. Also returns the L2 norm of the hidden
-    delta at each unrolled step, newest first, for gradient-flow
-    diagnostics.
+    gradients over timesteps, and returns them in named_parameters order
+    with the L2 norm of the hidden delta at each unrolled step, oldest
+    first, for gradient-flow diagnostics.
     """
     grads, _, deltas = _bptt_batch(net, sample.inputs[None], sample.target[None], cfg.horizon)
-    return grads, [l2_norm(delta[0]) for delta in deltas[::-1]]
+    return grads, [l2_norm(delta[0]) for delta in deltas]
 
 
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:

@@ -23,10 +23,8 @@ from oplu_net import (
     ParseError,
     Rng,
     SequenceSample,
-    backprop,
     bptt,
     BpttConfig,
-    dense_forward,
     expm,
     finite_diff_grad,
     gen_image_classes,
@@ -36,7 +34,6 @@ from oplu_net import (
     materialize_permutation,
     oplu_backward,
     oplu_forward,
-    output_delta,
     random_orthogonal,
     random_skew_symmetric,
     save_checkpoint,
@@ -67,9 +64,9 @@ def test_criterion_1_exact_norm_preservation():
             net = orthogonal_oplu_net(depth=100, width=8, seed=1000 + trial)
             x = rng.uniform_array(8, -1, 1)
             target = rng.uniform_array(8, -1, 1)
-            y, tape = dense_forward(net, x)
-            grads = backprop(net, tape, output_delta("mse", y, target))
-            ratio = l2_norm(grads.input_delta) / l2_norm(grads.deltas[-1])
+            _, deltas = net.gradients(x[None], target[None])
+            input_delta = deltas[0][0] @ net.layers[0].w.T
+            ratio = l2_norm(input_delta) / l2_norm(deltas[-1][0])
             assert abs(ratio - 1.0) <= 1e-8, f"trial {trial}: ratio {ratio}"
 
 
@@ -134,12 +131,12 @@ def _conditioned_sample(net: DenseNet, rng: Rng, min_grad: float = 1e-3,
 
     for _ in range(tries):
         x = _signed_band(rng, net.input_dim)
-        y, tape = dense_forward(net, x)
+        y = net.forward(x[None])[0][0]
         if min_nonsmooth_gap(net, (x, np.zeros(net.output_dim))) <= gap:
             continue
         target = y - _signed_band(rng, net.output_dim)
-        grads = backprop(net, tape, output_delta("mse", y, target))
-        flat = np.concatenate([np.abs(t).ravel() for t in grads.tensors()])
+        grads, _ = net.gradients(x[None], target[None])
+        flat = np.concatenate([np.abs(t).ravel() for t in grads])
         nonzero = flat[flat > 0]
         if nonzero.size and nonzero.min() >= min_grad:
             return x, target
@@ -305,6 +302,7 @@ def test_criterion_8_bptt_matches_unrolled_dense():
                 net = build_srn(hidden, activation, init=init, seed=steps * 7 + hidden)
                 sample = smooth_srn_sample(net, steps=steps, seed=steps + 31)
                 grads, _ = bptt(net, sample, BpttConfig(steps))
+                got = {name: g for (name, _), g in zip(net.named_parameters(), grads)}
 
                 layers = [
                     DenseLayer(net.w_rec.copy(), sample.inputs[t] @ net.w_in + net.b_h,
@@ -313,18 +311,18 @@ def test_criterion_8_bptt_matches_unrolled_dense():
                 ]
                 layers.append(DenseLayer(net.w_out.copy(), net.b_out.copy(), "linear"))
                 unrolled = DenseNet(layers, "mse")
-                y, tape = dense_forward(unrolled, net.h0)
-                dgrads = backprop(unrolled, tape, output_delta("mse", y, sample.target))
+                dgrads, _ = unrolled.gradients(net.h0[None], sample.target[None])
+                dw, db = dgrads[0::2], dgrads[1::2]  # per layer
                 tied = {
-                    "dw_rec": sum(dgrads.dw[t] for t in range(steps)),
-                    "db_h": sum(dgrads.db[t] for t in range(steps)),
-                    "dw_in": sum(np.outer(sample.inputs[t], dgrads.db[t]) for t in range(steps)),
-                    "dw_out": dgrads.dw[steps],
-                    "db_out": dgrads.db[steps],
+                    "w_rec": sum(dw[t] for t in range(steps)),
+                    "b_h": sum(db[t] for t in range(steps)),
+                    "w_in": sum(np.outer(sample.inputs[t], db[t]) for t in range(steps)),
+                    "w_out": dw[steps],
+                    "b_out": db[steps],
                 }
+                assert got.keys() == tied.keys()
                 for name, want in tied.items():
-                    got = getattr(grads, name)
-                    assert np.abs(got - want).max() <= 1e-10, (activation, steps, name)
+                    assert np.abs(got[name] - want).max() <= 1e-10, (activation, steps, name)
 
 
 def test_criterion_9_determinism_and_formats(tmp_path):

@@ -7,13 +7,12 @@ from oplu_net import (
     NormTrace,
     Rng,
     SequenceSample,
-    backprop,
+    ShapeError,
     bptt,
-    dense_forward,
     finite_diff_grad,
+    init_dense,
     l2_norm,
     min_nonsmooth_gap,
-    output_delta,
     trace_delta_norms,
     write_norm_trace_csv,
 )
@@ -58,6 +57,20 @@ class TestFiniteDiffGrad:
         with pytest.raises(ValueError):
             finite_diff_grad(net, (np.zeros(2), np.zeros(2)), epsilon=0.0)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda grads: grads[:4],  # one tensor short
+        lambda grads: [grads[0].T] + grads[1:],  # w_in transposed
+    ])
+    def test_gradients_must_mirror_parameters(self, monkeypatch, mangle):
+        # a check that zips the two lists would pass a short list after
+        # checking only the tensors it has
+        net = build_srn(4, "tanh", seed=1)
+        full = net.gradients
+        monkeypatch.setattr(net, "gradients",
+                            lambda rows, targets: (mangle(full(rows, targets)[0]), None))
+        with pytest.raises(ShapeError, match="do not match parameter shapes"):
+            finite_diff_grad(net, (np.zeros((3, 2)), np.zeros(1)))
+
 
 class TestMinNonsmoothGap:
     def test_smooth_network_has_infinite_gap(self):
@@ -67,7 +80,7 @@ class TestMinNonsmoothGap:
     def test_relu_gap_is_min_abs_preactivation(self):
         net = build_mlp([2, 2, 2], "relu", seed=9)
         x = np.array([0.5, -0.25])
-        _, tape = dense_forward(net, x)
+        _, tape = net.forward(x[None])
         expected = np.abs(tape.presyn[0]).min()
         assert min_nonsmooth_gap(net, (x, np.zeros(2))) == expected
 
@@ -103,9 +116,8 @@ class TestTraceDeltaNorms:
         rng = Rng(21)
         x = rng.uniform_array(3)
         t = rng.uniform_array(2)
-        y, tape = dense_forward(net, x)
-        grads = backprop(net, tape, output_delta("mse", y, t))
-        assert trace.norms[0] == l2_norm(grads.deltas[0])
+        _, deltas = net.gradients(x[None], t[None])
+        assert trace.norms[0] == l2_norm(deltas[0][0])
 
     def test_dense_trace_runs_first_layer_first(self):
         net = orthogonal_oplu_net(depth=4, width=6, seed=13)
@@ -160,7 +172,7 @@ PASSES = [(2, [2]), (6, [3, 3]), (7, [3, 3, 1])]
 
 class TestBatchedTraceReplay:
     """trace_delta_norms against a replay of its random stream, one repeat
-    at a time through the per-sample bptt or dense_forward/backprop."""
+    at a time through bptt or a dense model's gradients on a batch of one."""
 
     @pytest.mark.parametrize("repeats,passes", PASSES)
     def test_srn_matches_per_sequence_bptt(self, monkeypatch, repeats, passes):
@@ -179,7 +191,7 @@ class TestBatchedTraceReplay:
             inputs = replay.uniform_array(steps * 2).reshape(steps, 2)
             target = replay.uniform_array(1)
             _, norms = bptt(net, SequenceSample(inputs, target), BpttConfig(steps))
-            total += np.asarray(norms)[::-1]
+            total += np.asarray(norms)
         expected = total / repeats
         assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
         assert rng.next_u64() == replay.next_u64()
@@ -203,9 +215,8 @@ class TestBatchedTraceReplay:
                 target[replay.randint(4)] = 1.0
             else:
                 target = replay.uniform_array(4)
-            y, tape = dense_forward(net, x)
-            grads = backprop(net, tape, output_delta(loss, y, target))
-            total += np.asarray([l2_norm(d) for d in grads.deltas])
+            _, deltas = net.gradients(x[None], target[None])
+            total += np.asarray([l2_norm(d[0]) for d in deltas])
         expected = total / repeats
         assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
         assert rng.next_u64() == replay.next_u64()
@@ -223,24 +234,45 @@ class TestJacobianAssembly:
     def test_all_singular_values_are_one(self):
         net = orthogonal_oplu_net(depth=5, width=8, seed=14)
         sample = smooth_mlp_sample(net, seed=15)
-        _, tape = dense_forward(net, sample[0])
-        jac = assemble_dense_jacobian(net, tape)
+        jac = assemble_dense_jacobian(net, sample[0])
         singular = np.linalg.svd(jac, compute_uv=False)
         assert np.abs(singular - 1.0).max() <= 1e-8
 
     def test_matches_finite_difference_of_forward(self):
         net = build_mlp([4, 6, 4], "tanh", seed=16)
         x = Rng(6).uniform_array(4, -1, 1)
-        _, tape = dense_forward(net, x)
-        jac = assemble_dense_jacobian(net, tape)
+        jac = assemble_dense_jacobian(net, x)
         eps = 1e-6
         for k in range(4):
             bump = np.zeros(4)
             bump[k] = eps
-            y_plus, _ = dense_forward(net, x + bump)
-            y_minus, _ = dense_forward(net, x - bump)
-            numeric = (y_plus - y_minus) / (2 * eps)
+            y_plus, _ = net.forward((x + bump)[None])
+            y_minus, _ = net.forward((x - bump)[None])
+            numeric = (y_plus[0] - y_minus[0]) / (2 * eps)
             assert np.abs(numeric - jac[k]).max() <= 1e-8
+
+
+class TestDepthIsometry:
+    """The end-to-end Jacobian of an untrained 50-layer, 100-wide stack
+    (the last layer linear): pairwise units with orthogonal weights keep
+    every singular value at 1, while relu collapses them and Xavier
+    weights spread them."""
+
+    @staticmethod
+    def singular_values(activation, init):
+        rng = Rng(7)
+        net = init_dense([100] * 51, activation, "mse", init, rng)
+        jac = assemble_dense_jacobian(net, rng.uniform_array(100, -1, 1))
+        return np.linalg.svd(jac, compute_uv=False)
+
+    def test_oplu_orthogonal_is_an_isometry(self):
+        assert np.abs(self.singular_values("oplu", "orthogonal") - 1.0).max() <= 1e-12
+
+    def test_relu_orthogonal_collapses(self):
+        assert self.singular_values("relu", "orthogonal").max() < 1e-5
+
+    def test_oplu_xavier_is_not_an_isometry(self):
+        assert self.singular_values("oplu", "xavier").max() > 2.0
 
 
 class TestNormTraceCsv:

@@ -11,8 +11,6 @@ from oplu_net import (
     Rng,
     SgdMomentum,
     ShapeError,
-    backprop,
-    dense_forward,
     evaluate,
     gen_image_classes,
     l2_norm,
@@ -29,25 +27,25 @@ class TestDenseForward:
     def test_identity_network(self):
         net = DenseNet([DenseLayer(np.eye(3), np.zeros(3), "linear")], "mse")
         x = np.array([0.5, -1.0, 2.0])
-        y, tape = dense_forward(net, x)
-        assert np.array_equal(y, x)
-        assert np.array_equal(tape.postsyn[0], x)
+        y, tape = net.forward(x[None])
+        assert np.array_equal(y[0], x)
+        assert np.array_equal(tape.postsyn[0][0], x)
 
     def test_relu_with_bias(self):
         net = DenseNet([DenseLayer(np.eye(2), np.array([-1.0, -1.0]), "relu")], "mse")
-        y, _ = dense_forward(net, np.array([2.0, 0.5]))
-        assert np.array_equal(y, [1.0, 0.0])
+        y, _ = net.forward(np.array([[2.0, 0.5]]))
+        assert np.array_equal(y[0], [1.0, 0.0])
 
     def test_two_layer_oplu_orthogonal_preserves_input_norm(self):
         net = orthogonal_oplu_net(depth=2, width=8, seed=4)
         x = Rng(10).uniform_array(8, -2, 2)
-        y, _ = dense_forward(net, x)
-        assert abs(l2_norm(y) - l2_norm(x)) <= 1e-10 * l2_norm(x)
+        y, _ = net.forward(x[None])
+        assert abs(l2_norm(y[0]) - l2_norm(x)) <= 1e-10 * l2_norm(x)
 
     def test_width_mismatch(self):
         net = build_mlp([4, 4, 2], "tanh")
         with pytest.raises(ShapeError):
-            dense_forward(net, np.zeros(5))
+            net.forward(np.zeros((1, 5)))
 
     def test_non_finite_named_layer(self):
         net = DenseNet(
@@ -58,7 +56,7 @@ class TestDenseForward:
             "mse",
         )
         with pytest.raises(NumericError, match="layer 1"):
-            dense_forward(net, np.array([1.0, 1.0]))
+            net.forward(np.array([[1.0, 1.0]]))
 
 
 class TestLosses:
@@ -130,21 +128,20 @@ class TestBackprop:
         net = DenseNet([DenseLayer(np.zeros((3, 2)), np.zeros(2), "linear")], "mse")
         x = np.array([1.0, -2.0, 0.5])
         delta_out = np.array([0.3, -0.7])
-        _, tape = dense_forward(net, x)
-        grads = backprop(net, tape, delta_out)
-        assert np.array_equal(grads.dw[0], np.outer(x, delta_out))
-        assert np.array_equal(grads.db[0], delta_out)
-        assert np.array_equal(grads.input_delta, delta_out @ net.layers[0].w.T)
+        _, tape = net.forward(x[None])
+        grads, deltas = _backprop_batch(net, tape, delta_out[None])
+        assert np.array_equal(grads[0], np.outer(x, delta_out))
+        assert np.array_equal(grads[1], delta_out)
+        assert np.array_equal(deltas[0], delta_out[None])
 
     def test_deep_oplu_orthogonal_preserves_delta_norm(self):
         net = orthogonal_oplu_net(depth=100, width=8, seed=12)
         rng = Rng(3)
         x = rng.uniform_array(8, -1, 1)
         t = rng.uniform_array(8, -1, 1)
-        y, tape = dense_forward(net, x)
-        grads = backprop(net, tape, output_delta("mse", y, t))
-        top = l2_norm(grads.deltas[-1])
-        bottom = l2_norm(grads.input_delta)
+        _, deltas = net.gradients(x[None], t[None])
+        top = l2_norm(deltas[-1][0])
+        bottom = l2_norm(deltas[0][0] @ net.layers[0].w.T)
         assert abs(bottom / top - 1.0) <= 1e-10
 
     def test_jacobian_factorization_two_layers(self):
@@ -154,13 +151,11 @@ class TestBackprop:
 
         net = build_mlp([6, 6, 4], "oplu", init="orthogonal", seed=9)
         x, _ = smooth_mlp_sample(net, seed=2)
-        _, tape = dense_forward(net, x)
-        forward_product = assemble_dense_jacobian(net, tape)
-        transport = np.empty((net.output_dim, net.input_dim))
-        for k in range(net.output_dim):
-            basis = np.zeros(net.output_dim)
-            basis[k] = 1.0
-            transport[k] = backprop(net, tape, basis).input_delta
+        forward_product = assemble_dense_jacobian(net, x)
+        # row k backpropagates the k-th basis vector from the output
+        _, tape = net.forward(np.repeat(x[None], net.output_dim, axis=0))
+        _, deltas = _backprop_batch(net, tape, np.eye(net.output_dim))
+        transport = deltas[0] @ net.layers[0].w.T
         assert np.abs(transport - forward_product.T).max() <= 1e-10
 
     def test_matches_finite_differences_three_layer_mixed(self):
@@ -232,8 +227,8 @@ class TestTrainEpoch:
 
         # manual single step on the twin (shuffle does not matter full-batch)
         y, tape = _forward_batch(twin, inputs)
-        grads = _backprop_batch(twin, tape, output_delta("mse", y, targets))
-        sgd_step(SgdMomentum(0.05, 0.0), twin.parameters(), grads.tensors())
+        grads, _ = _backprop_batch(twin, tape, output_delta("mse", y, targets))
+        sgd_step(SgdMomentum(0.05, 0.0), twin.parameters(), grads)
         for got, want in zip(net.parameters(), twin.parameters()):
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -330,26 +325,25 @@ class TestBatchEquivalence:
         else:
             t_rows = rng.uniform_array(5 * 4, -1, 1).reshape(5, 4)
         y_rows, btape = _forward_batch(net, x_rows)
-        batch_grads = _backprop_batch(net, btape, output_delta(loss, y_rows, t_rows))
-        assert len(batch_grads.deltas) == len(net.layers)
+        batch_grads, batch_deltas = _backprop_batch(net, btape, output_delta(loss, y_rows, t_rows))
+        assert len(batch_deltas) == len(net.layers)
 
         summed = None
         for i in range(5):
-            y, tape = dense_forward(net, x_rows[i])
-            assert np.abs(y - y_rows[i]).max() <= 1e-12
-            g = backprop(net, tape, output_delta(loss, y, t_rows[i]))
+            y, _ = net.forward(x_rows[i][None])
+            assert np.abs(y[0] - y_rows[i]).max() <= 1e-12
+            g, deltas = net.gradients(x_rows[i][None], t_rows[i][None])
             # one sample's delta is its bias gradient, which the
             # finite-difference oracle pins
-            for single, rows, bias in zip(g.deltas, batch_grads.deltas, g.db):
-                assert np.array_equal(single, bias)
-                assert np.abs(single - rows[i]).max() <= 1e-12
-            assert np.abs(g.input_delta - batch_grads.deltas[0][i] @ net.layers[0].w.T).max() <= 1e-12
+            for single, rows, bias in zip(deltas, batch_deltas, g[1::2]):
+                assert np.array_equal(single[0], bias)
+                assert np.abs(single[0] - rows[i]).max() <= 1e-12
             if summed is None:
-                summed = [t.copy() for t in g.tensors()]
+                summed = [t.copy() for t in g]
             else:
-                for acc, t in zip(summed, g.tensors()):
+                for acc, t in zip(summed, g):
                     acc += t
-        for mean_single, batched in zip((t / 5 for t in summed), batch_grads.tensors()):
+        for mean_single, batched in zip((t / 5 for t in summed), batch_grads):
             assert np.abs(mean_single - batched).max() <= 1e-12
 
 

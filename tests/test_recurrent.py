@@ -10,15 +10,12 @@ from oplu_net import (
     SequenceSample,
     ShapeError,
     Srn,
-    backprop,
     bptt,
-    dense_forward,
     evaluate_adding,
     finite_diff_grad,
     gen_adding,
     l2_norm,
     loss_value,
-    output_delta,
     random_orthogonal,
     srn_forward,
 )
@@ -123,6 +120,7 @@ class TestBptt:
         x = rng.uniform_array(3, -1, 1)
         target = rng.uniform_array(2, -1, 1)
         grads, trace = bptt(net, SequenceSample(x.reshape(1, 3), target), BpttConfig(1))
+        dw_in, _, db_h, dw_out, db_out = grads
 
         # the equivalent two-layer dense net: hidden layer sees x @ w_in + b_h
         # (w_rec contributes nothing from h0 = 0), then the linear readout
@@ -133,13 +131,12 @@ class TestBptt:
             ],
             "mse",
         )
-        y, tape = dense_forward(dense, x)
-        dgrads = backprop(dense, tape, output_delta("mse", y, target))
-        assert np.abs(grads.dw_in - dgrads.dw[0]).max() <= 1e-14
-        assert np.abs(grads.db_h - dgrads.db[0]).max() <= 1e-14
-        assert np.abs(grads.dw_out - dgrads.dw[1]).max() <= 1e-14
-        assert np.abs(grads.db_out - dgrads.db[1]).max() <= 1e-14
-        assert trace == [l2_norm(grads.db_h)]  # the one step's delta is db_h
+        dgrads, _ = dense.gradients(x[None], target[None])
+        assert np.abs(dw_in - dgrads[0]).max() <= 1e-14
+        assert np.abs(db_h - dgrads[1]).max() <= 1e-14
+        assert np.abs(dw_out - dgrads[2]).max() <= 1e-14
+        assert np.abs(db_out - dgrads[3]).max() <= 1e-14
+        assert trace == [l2_norm(db_h)]  # the one step's delta is db_h
 
     @pytest.mark.parametrize("activation", ["tanh", "oplu"])
     def test_gradients_match_finite_differences(self, activation):
@@ -166,10 +163,10 @@ class TestBptt:
         _, trace_full = bptt(net, sample, BpttConfig(6))
         grads_h2, trace_h2 = bptt(net, sample, BpttConfig(2))
         assert len(trace_full) == 6 and len(trace_h2) == 2
-        assert trace_h2 == trace_full[:2]
+        assert trace_h2 == trace_full[-2:]
         # truncated gradients differ from the full unroll (they drop terms)
         grads_full, _ = bptt(net, sample, BpttConfig(6))
-        assert np.abs(grads_h2.dw_rec - grads_full.dw_rec).max() > 0
+        assert np.abs(grads_h2[1] - grads_full[1]).max() > 0  # w_rec
 
     def test_horizon_beyond_length_changes_nothing(self):
         net = build_srn(4, "oplu", init="orthogonal", seed=3)
@@ -177,7 +174,8 @@ class TestBptt:
         sample = SequenceSample(rng.uniform_array(10).reshape(5, 2), rng.uniform_array(1))
         g1, t1 = bptt(net, sample, BpttConfig(5))
         g2, t2 = bptt(net, sample, BpttConfig(12))
-        for a, b in zip(g1.tensors(), g2.tensors()):
+        assert len(g1) == len(g2) == 5
+        for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
         assert t1 == t2
 
@@ -196,6 +194,7 @@ class TestBptt:
         net = build_srn(hidden, activation, init=init, seed=14)
         sample = smooth_srn_sample(net, steps=steps, seed=6)
         grads, _ = bptt(net, sample, BpttConfig(steps))
+        dw_in, dw_rec, db_h, dw_out, db_out = grads
 
         act = net.hidden_activation
         layers = [
@@ -204,17 +203,15 @@ class TestBptt:
         ]
         layers.append(DenseLayer(net.w_out.copy(), net.b_out.copy(), "linear"))
         unrolled = DenseNet(layers, "mse")
-        y, tape = dense_forward(unrolled, net.h0)
-        dgrads = backprop(unrolled, tape, output_delta("mse", y, sample.target))
+        dgrads, _ = unrolled.gradients(net.h0[None], sample.target[None])
+        dw, db = dgrads[0::2], dgrads[1::2]  # per layer
 
-        dw_rec = sum(dgrads.dw[t] for t in range(steps))
-        db_h = sum(dgrads.db[t] for t in range(steps))
-        dw_in = sum(np.outer(sample.inputs[t], dgrads.db[t]) for t in range(steps))
-        assert np.abs(grads.dw_rec - dw_rec).max() <= 1e-10
-        assert np.abs(grads.db_h - db_h).max() <= 1e-10
-        assert np.abs(grads.dw_in - dw_in).max() <= 1e-10
-        assert np.abs(grads.dw_out - dgrads.dw[steps]).max() <= 1e-10
-        assert np.abs(grads.db_out - dgrads.db[steps]).max() <= 1e-10
+        assert np.abs(dw_rec - sum(dw[t] for t in range(steps))).max() <= 1e-10
+        assert np.abs(db_h - sum(db[t] for t in range(steps))).max() <= 1e-10
+        dw_in_unrolled = sum(np.outer(sample.inputs[t], db[t]) for t in range(steps))
+        assert np.abs(dw_in - dw_in_unrolled).max() <= 1e-10
+        assert np.abs(dw_out - dw[steps]).max() <= 1e-10
+        assert np.abs(db_out - db[steps]).max() <= 1e-10
 
     def test_tanh_xavier_delta_norms_shrink_in_the_median(self):
         rng = Rng(25)
@@ -224,7 +221,7 @@ class TestBptt:
             inputs = rng.uniform_array(30 * 2).reshape(30, 2)
             sample = SequenceSample(inputs, rng.uniform_array(1))
             _, trace = bptt(net, sample, BpttConfig(30))
-            ratios.append(trace[-1] / trace[0])  # oldest over newest
+            ratios.append(trace[0] / trace[-1])  # oldest over newest
         assert np.median(ratios) < 1.0
 
 
@@ -247,11 +244,11 @@ class TestBatchEquivalence:
             y, _ = srn_forward(net, inputs[i])
             loss_sum += float(0.5 * np.square(y - targets[i]).sum())
             if summed is None:
-                summed = [t.copy() for t in g.tensors()]
+                summed = [t.copy() for t in g]
             else:
-                for acc, t in zip(summed, g.tensors()):
+                for acc, t in zip(summed, g):
                     acc += t
-        for mean_single, batched in zip((t / batch for t in summed), batch_grads.tensors()):
+        for mean_single, batched in zip((t / batch for t in summed), batch_grads):
             assert np.abs(mean_single - batched).max() <= 1e-12
         assert abs(loss_sum / batch - batch_loss) <= 1e-12
 
