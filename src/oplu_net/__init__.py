@@ -16,6 +16,7 @@ from .activations import (
     oplu_forward,
     scalar_derivative,
     scalar_forward,
+    swap_mask,
 )
 from .errors import ConfigError, NumericError, ParseError, ShapeError
 from .linalg import (

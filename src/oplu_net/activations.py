@@ -121,28 +121,34 @@ def kink_gap(kind, a: np.ndarray) -> float:
     return np.inf
 
 
-def activation_jacobian(kind, a: np.ndarray, mask) -> np.ndarray:
-    """Matrix J with dz = da @ J at one presynaptic vector `a` whose swap
-    mask is `mask`: the swap permutation for a pairing, diagonal otherwise."""
+def activation_jacobian(kind, a: np.ndarray) -> np.ndarray:
+    """Matrix J with dz = da @ J at one presynaptic vector `a`: the swap
+    permutation that `a` selects for a pairing, diagonal otherwise."""
     if isinstance(kind, PairingScheme):
-        return materialize_permutation(mask, kind)
+        return materialize_permutation(swap_mask(a, kind), kind)
     return np.diag(scalar_derivative(kind, a))
 
 
-def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None):
-    """Route each pair to (max, min) along the last axis.
+def swap_mask(a: np.ndarray, scheme: PairingScheme) -> np.ndarray:
+    """Whether the pairwise unit swaps each pair of `a` along the last axis:
+    exactly when the first entry is strictly smaller, so ties, -0.0 against
+    +0.0 among them, never swap."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-1] != scheme.width:
+        raise ShapeError(f"input width {a.shape[-1]} does not match pairing over {scheme.width}")
+    first, second = scheme._members
+    return np.less(a[..., first], a[..., second])
 
-    Returns the permuted values and a swap mask with one boolean per pair;
-    a pair is swapped exactly when its first entry is strictly smaller, so
-    ties leave the order unchanged. Accepts a batch of rows as well as a
-    single vector. The values are written into `out` when it is given; it
-    may be `a` itself.
 
-    The values come from np.maximum/np.minimum and compare equal to the
-    mask's selection everywhere; only on a tie between -0.0 and +0.0 may
-    numpy give both entries one sign of zero (numpy 2.4 returns the second
-    entry twice). The mask, and with it the backward pass, follows the
-    strict-less rule in every case.
+def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None) -> np.ndarray:
+    """Route each pair to (max, min) along the last axis of a vector or a
+    batch of rows, into `out` when given. `out` may be `a` itself, though
+    the backward pass needs `a` kept.
+
+    The values come from np.maximum/np.minimum and equal swap_mask's
+    selection everywhere; only on a tie between -0.0 and +0.0 may numpy
+    give both entries one sign of zero (numpy 2.4 returns the second entry
+    twice). The backward pass follows swap_mask in every case.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] != scheme.width:
@@ -150,17 +156,16 @@ def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None):
     first, second = scheme._members
     if out is None:
         out = np.empty_like(a)
-    # the mask and the max are taken before `out`, which may alias `a`, is written
-    mask = np.less(a[..., first], a[..., second])
+    # the max is taken before `out`, which may alias `a`, is written
     high = np.maximum(a[..., first], a[..., second])
     out[..., second] = np.minimum(a[..., first], a[..., second])
     out[..., first] = high
-    return out, mask
+    return out
 
 
 def oplu_backward(delta_hat: np.ndarray, mask: np.ndarray, scheme: PairingScheme,
                   out=None) -> np.ndarray:
-    """Apply the forward pass's permutation to the incoming deltas.
+    """Apply the permutation that swap_mask gave as `mask` to the incoming deltas.
 
     Swapped pairs exchange their deltas, untouched pairs pass through. The
     output, written into `out` when given, is a reordering of the input,
@@ -251,18 +256,17 @@ def scalar_derivative(kind, a: np.ndarray, value=None) -> np.ndarray:
     return 1.0 - t * t
 
 
-def activate(kind, a: np.ndarray, out=None):
-    """Activation values at the presynaptic input, written into `out` when
-    given, and the swap mask (None for scalar kinds)."""
+def activate(kind, a: np.ndarray, out=None) -> np.ndarray:
+    """Activation values at the presynaptic input, written into `out` when given."""
     if isinstance(kind, PairingScheme):
         return oplu_forward(a, kind, out=out)
-    return scalar_forward(kind, a, out=out), None
+    return scalar_forward(kind, a, out=out)
 
 
-def activate_backward(kind, delta_hat: np.ndarray, a: np.ndarray, z: np.ndarray, mask,
+def activate_backward(kind, delta_hat: np.ndarray, a: np.ndarray, z: np.ndarray,
                       out=None) -> np.ndarray:
     """Deltas with respect to the presynaptic input `a`, given those with
-    respect to the values `z` and `mask` that activate returned for it."""
+    respect to the values `z` that activate returned for it."""
     if isinstance(kind, PairingScheme):
-        return oplu_backward(delta_hat, mask, kind, out=out)
+        return oplu_backward(delta_hat, swap_mask(a, kind), kind, out=out)
     return np.multiply(delta_hat, scalar_derivative(kind, a, value=z), out=out)

@@ -88,35 +88,45 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines.
+    """Read flat `key = value` lines of UTF-8 text as {key: (value, "path:line")}.
 
     A '#' starts a comment when it begins the line or follows whitespace,
     so `alpha = 0.01  # step` sets 0.01 while `out_dir = runs/#1` keeps its
-    '#'.
+    '#'. A file that cannot be read is a ConfigError.
     """
     raw = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = _COMMENT.split(line, 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = value.strip()
+    try:
+        # bytes that are not UTF-8 decode to lone surrogates, which encode() rejects
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            for line_no, line in enumerate(f, start=1):
+                where = f"{path}:{line_no}"
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ConfigError(f"{where}: line is not UTF-8 text") from None
+                stripped = _COMMENT.split(line, 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(f"{where}: expected 'key = value', got {line.rstrip()!r}")
+                key, value = stripped.split("=", 1)
+                raw[key.strip()] = value.strip(), where
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     return raw
 
 
-def apply_settings(kind: str, cfg: dict, raw: dict, source: str) -> dict:
+def apply_settings(kind: str, cfg: dict, raw: dict) -> dict:
+    """Set cfg from raw, which maps each key to its (text, where) pair."""
     schema = SCHEMAS[kind]
-    for key, text in raw.items():
+    for key, (text, where) in raw.items():
         if key not in schema:
-            raise ConfigError(f"unknown config key {key!r} in {source}")
+            raise ConfigError(f"unknown config key {key!r} in {where}")
         ctor = schema[key][0]
         try:
             cfg[key] = ctor(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in {source}: {exc}") from None
+            raise ConfigError(f"bad value for {key!r} in {where}: {exc}") from None
     return cfg
 
 
@@ -156,10 +166,10 @@ def load_config(kind: str, config_path=None, overrides=None) -> dict:
     explicit = set()
     if config_path is not None:
         raw = parse_config_file(config_path)
-        apply_settings(kind, cfg, raw, str(config_path))
+        apply_settings(kind, cfg, raw)
         explicit.update(raw)
     if overrides:
-        apply_settings(kind, cfg, overrides, "command line")
+        apply_settings(kind, cfg, {key: (text, "command line") for key, text in overrides.items()})
         explicit.update(overrides)
     if kind == "adding" and cfg["paper_scale"] and "epochs" not in explicit:
         cfg["epochs"] = 5000 if cfg["seq_len"] >= 100 else 2000

@@ -172,7 +172,6 @@ def assemble_dense_jacobian(net: DenseNet, x) -> np.ndarray:
     """
     _, tape = net.forward(np.asarray(x, dtype=np.float64)[None])
     m = np.eye(net.input_dim)
-    for layer, a, mask in zip(net.layers, tape.presyn, tape.masks):
-        row_mask = None if mask is None else mask[0]
-        m = m @ layer.w @ activation_jacobian(layer.activation, a[0], row_mask)
+    for layer, a in zip(net.layers, tape.presyn):
+        m = m @ layer.w @ activation_jacobian(layer.activation, a[0])
     return m

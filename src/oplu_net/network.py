@@ -4,7 +4,7 @@ Activations are row vectors, so a layer computes a = z_prev @ w + b with w
 of shape (fan_in, fan_out). The backward pass propagates deltas (loss
 gradients with respect to presynaptic activations) through transposed
 weight matrices and the activation derivative, which for the pairwise
-permutation unit is the recorded swap permutation itself.
+permutation unit is the swap permutation its presynaptic values select.
 
 Rows are samples. The forward and backward passes are written once, for a
 batch of rows, so training touches dgemm instead of dgemv; one sample is a
@@ -108,12 +108,12 @@ class DenseNet:
 @dataclass
 class ForwardTape:
     """Cached activations of one forward pass, consumed by _backprop_batch;
-    every array has one row per sample."""
+    every array has one row per sample. The backward pass reads the
+    activation derivative off presyn, so no z may overwrite its a."""
 
     x: np.ndarray
     presyn: list  # a per layer
     postsyn: list  # z per layer
-    masks: list  # swap mask per layer, None for scalar activations
 
 
 def _forward_batch(net: DenseNet, x_rows: np.ndarray):
@@ -121,7 +121,7 @@ def _forward_batch(net: DenseNet, x_rows: np.ndarray):
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != net.input_dim:
         raise ShapeError(f"batch shape {x_rows.shape} does not match input width {net.input_dim}")
-    presyn, postsyn, masks = [], [], []
+    presyn, postsyn = [], []
     z = x_rows
     for idx, layer in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -129,11 +129,10 @@ def _forward_batch(net: DenseNet, x_rows: np.ndarray):
             a += layer.b
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite presynaptic activation in layer {idx}")
-        z, mask = activate(layer.activation, a)
+        z = activate(layer.activation, a)
         presyn.append(a)
         postsyn.append(z)
-        masks.append(mask)
-    return z, ForwardTape(x_rows, presyn, postsyn, masks)
+    return z, ForwardTape(x_rows, presyn, postsyn)
 
 
 def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray):
@@ -150,8 +149,7 @@ def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray
     deltas = [None] * n_layers
     for n in range(n_layers - 1, -1, -1):
         layer = net.layers[n]
-        delta = activate_backward(layer.activation, delta_hat, tape.presyn[n], tape.postsyn[n],
-                                  tape.masks[n])
+        delta = activate_backward(layer.activation, delta_hat, tape.presyn[n], tape.postsyn[n])
         z_prev = tape.postsyn[n - 1] if n > 0 else tape.x
         dw = z_prev.T @ delta
         dw /= batch

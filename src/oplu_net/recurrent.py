@@ -127,13 +127,13 @@ class SrnTape:
     """Cached states of one forward pass, time-major.
 
     From a batch every array has a sample axis after the time axis;
-    srn_forward's tape is the slice of its one sequence.
+    srn_forward's tape is the slice of its one sequence. BPTT reads the
+    activation derivative off presyn, so no hidden state may overwrite it.
     """
 
     inputs: np.ndarray  # (T, [batch,] input_dim)
     presyn: np.ndarray  # (T, [batch,] hidden)
     hidden: np.ndarray  # (T+1, [batch,] hidden), row 0 is h0
-    masks: list  # swap mask per step, None for scalar activations
 
 
 def _as_batch(net: Srn, inputs) -> np.ndarray:
@@ -154,7 +154,6 @@ def _srn_forward_batch(net: Srn, inputs: np.ndarray):
     presyn = np.empty((steps, batch, net.hidden_dim))
     hidden = np.empty((steps + 1, batch, net.hidden_dim))
     hidden[0] = net.h0
-    masks = []
     recurrent = np.empty((batch, net.hidden_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         # the input terms and the bias of every step in one pass
@@ -163,7 +162,7 @@ def _srn_forward_batch(net: Srn, inputs: np.ndarray):
         for t in range(steps):
             a = presyn[t]
             a += np.matmul(hidden[t], net.w_rec, out=recurrent)
-            masks.append(activate(net.hidden_activation, a, out=hidden[t + 1])[1])
+            activate(net.hidden_activation, a, out=hidden[t + 1])
         y = hidden[steps] @ net.w_out + net.b_out
     # the steps before the first non-finite one come out the same either way,
     # so one check after the loop names the step a check inside it would
@@ -172,7 +171,7 @@ def _srn_forward_batch(net: Srn, inputs: np.ndarray):
         raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
     if not np.isfinite(y).all():
         raise NumericError("non-finite readout after the last timestep")
-    return y, SrnTape(x, presyn, hidden, masks)
+    return y, SrnTape(x, presyn, hidden)
 
 
 def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
@@ -192,7 +191,7 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
         for k in range(unroll - 1, -1, -1):
             t = first + k
             activate_backward(net.hidden_activation, delta_hat, tape.presyn[t], tape.hidden[t + 1],
-                              tape.masks[t], out=deltas[k])
+                              out=deltas[k])
             if k:
                 np.matmul(deltas[k], w_rec_t, out=delta_hat)
         # shared weights: one product sums each gradient over steps and samples
@@ -212,8 +211,7 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
 def srn_forward(net: Srn, inputs: np.ndarray):
     """Run the recurrence over one sequence and read out the final state."""
     y, tape = _srn_forward_batch(net, np.asarray(inputs, dtype=np.float64)[None])
-    masks = [None if m is None else m[0] for m in tape.masks]
-    return y[0], SrnTape(tape.inputs[:, 0], tape.presyn[:, 0], tape.hidden[:, 0], masks)
+    return y[0], SrnTape(tape.inputs[:, 0], tape.presyn[:, 0], tape.hidden[:, 0])
 
 
 def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
@@ -230,8 +228,7 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
 
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
     """The outputs of _srn_forward_batch, computed without keeping its tape:
-    each step's hidden state overwrites the last, and oplu swap masks are
-    computed and discarded."""
+    each step's hidden state overwrites the last."""
     inputs = _as_batch(net, inputs)
     batch, steps = inputs.shape[0], inputs.shape[1]
     a = np.empty((batch, net.hidden_dim))

@@ -13,6 +13,13 @@ from oplu_net import (
     oplu_forward,
     scalar_derivative,
     scalar_forward,
+    swap_mask,
+)
+from oplu_net.activations import (
+    activate,
+    activate_backward,
+    activation_jacobian,
+    make_activation,
 )
 
 PAIR01 = PairingScheme([(0, 1)])
@@ -49,12 +56,16 @@ class TestPairingScheme:
 
 class TestOpluForward:
     def test_swap(self):
-        z, mask = oplu_forward(np.array([2.0, 5.0]), PAIR01)
+        a = np.array([2.0, 5.0])
+        z = oplu_forward(a, PAIR01)
+        mask = swap_mask(a, PAIR01)
         assert np.array_equal(z, [5.0, 2.0])
         assert mask.tolist() == [True]
 
     def test_tie_keeps_order(self):
-        z, mask = oplu_forward(np.array([3.0, 3.0]), PAIR01)
+        a = np.array([3.0, 3.0])
+        z = oplu_forward(a, PAIR01)
+        mask = swap_mask(a, PAIR01)
         assert np.array_equal(z, [3.0, 3.0])
         assert mask.tolist() == [False]
 
@@ -64,7 +75,8 @@ class TestOpluForward:
         a = np.empty(6)
         for (i, j), (x, y) in zip(scheme.pairs, [(-0.0, 0.0), (0.0, -0.0), (3.0, 3.0)]):
             a[i], a[j] = x, y
-        z, mask = oplu_forward(a, scheme)
+        z = oplu_forward(a, scheme)
+        mask = swap_mask(a, scheme)
         assert not mask.any()
         # equal values; max/min may give a tied pair of zeros one sign
         assert np.array_equal(z, a)
@@ -75,7 +87,9 @@ class TestOpluForward:
 
     def test_two_pairs(self):
         scheme = PairingScheme([(0, 1), (2, 3)])
-        z, mask = oplu_forward(np.array([1.0, -2.0, -4.0, 7.0]), scheme)
+        a = np.array([1.0, -2.0, -4.0, 7.0])
+        z = oplu_forward(a, scheme)
+        mask = swap_mask(a, scheme)
         assert np.array_equal(z, [1.0, -2.0, 7.0, -4.0])
         assert mask.tolist() == [False, True]
 
@@ -83,15 +97,20 @@ class TestOpluForward:
         with pytest.raises(ShapeError):
             oplu_forward(np.zeros(3), PairingScheme([(0, 1)]))
 
+    def test_swap_mask_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            swap_mask(np.zeros((2, 3)), PairingScheme([(0, 1)]))
+
     @pytest.mark.parametrize("adjacent", [True, False])
     def test_out_buffers(self, adjacent):
         # the default adjacent pairs take strided views, others gather
         rng = Rng(12)
         scheme = PairingScheme.adjacent(10) if adjacent else random_scheme(10, rng)
         a = np.round(rng.uniform_array(6 * 10, -2, 2).reshape(6, 10), 1)  # many ties
-        z, mask = oplu_forward(a, scheme)
+        z = oplu_forward(a, scheme)
+        mask = swap_mask(a, scheme)
         out = np.empty_like(a)
-        assert oplu_forward(a, scheme, out=out)[0] is out
+        assert oplu_forward(a, scheme, out=out) is out
         assert np.array_equal(out, z)
         in_place = a.copy()
         oplu_forward(in_place, scheme, out=in_place)
@@ -119,7 +138,7 @@ class TestOpluBackward:
         for _ in range(50):
             a = rng.uniform_array(12, -4, 4)
             delta = rng.uniform_array(12, -4, 4)
-            _, mask = oplu_forward(a, scheme)
+            mask = swap_mask(a, scheme)
             out = oplu_backward(delta, mask, scheme)
             assert l2_norm(out) == l2_norm(delta)
 
@@ -136,7 +155,8 @@ class TestMaterializedPermutation:
             for _ in range(30):
                 a = rng.uniform_array(width, -2, 2)
                 delta = rng.uniform_array(width, -2, 2)
-                z, mask = oplu_forward(a, scheme)
+                z = oplu_forward(a, scheme)
+                mask = swap_mask(a, scheme)
                 d = materialize_permutation(mask, scheme)
                 assert np.array_equal(d.T @ d, np.eye(width))
                 assert np.array_equal(a @ d, z)
@@ -146,7 +166,7 @@ class TestMaterializedPermutation:
 
     def test_rows_and_columns_single_one(self):
         scheme = PairingScheme.adjacent(8)
-        _, mask = oplu_forward(Rng(5).uniform_array(8, -1, 1), scheme)
+        mask = swap_mask(Rng(5).uniform_array(8, -1, 1), scheme)
         d = materialize_permutation(mask, scheme)
         assert np.array_equal(d.sum(axis=0), np.ones(8))
         assert np.array_equal(d.sum(axis=1), np.ones(8))
@@ -172,15 +192,16 @@ class TestOpluProperties:
     @settings(max_examples=200, deadline=None)
     def test_output_is_permutation_of_input(self, case):
         a, scheme = case
-        z, _ = oplu_forward(a, scheme)
+        z = oplu_forward(a, scheme)
         assert sorted(z.tolist()) == sorted(a.tolist())
 
     @given(vector_pairs())
     @settings(max_examples=200, deadline=None)
     def test_sortedness_idempotent(self, case):
         a, scheme = case
-        z1, _ = oplu_forward(a, scheme)
-        z2, mask2 = oplu_forward(z1, scheme)
+        z1 = oplu_forward(a, scheme)
+        z2 = oplu_forward(z1, scheme)
+        mask2 = swap_mask(z1, scheme)
         assert np.array_equal(z1, z2)
         assert not mask2.any()
 
@@ -189,7 +210,7 @@ class TestOpluProperties:
     def test_backward_norm_exact(self, case):
         delta, scheme = case
         a = Rng(1).uniform_array(scheme.width, -1, 1)
-        _, mask = oplu_forward(a, scheme)
+        mask = swap_mask(a, scheme)
         out = oplu_backward(delta, mask, scheme)
         assert l2_norm(out) == l2_norm(delta)
 
@@ -197,8 +218,8 @@ class TestOpluProperties:
         # approaching the tie from both sides gives the same output value
         scheme = PAIR01
         eps = 1e-9
-        above, _ = oplu_forward(np.array([1.0 + eps, 1.0]), scheme)
-        below, _ = oplu_forward(np.array([1.0 - eps, 1.0]), scheme)
+        above = oplu_forward(np.array([1.0 + eps, 1.0]), scheme)
+        below = oplu_forward(np.array([1.0 - eps, 1.0]), scheme)
         assert np.abs(above - below).max() <= 2 * eps
 
     def test_directional_derivative_matches_permutation(self):
@@ -211,14 +232,37 @@ class TestOpluProperties:
             gaps = np.abs(a[scheme._first] - a[scheme._second])
             if gaps.min() < 1e-3:
                 continue
-            z0, mask = oplu_forward(a, scheme)
+            z0 = oplu_forward(a, scheme)
+            mask = swap_mask(a, scheme)
             d = materialize_permutation(mask, scheme)
             direction = rng.uniform_array(6, -1, 1)
-            z_plus, _ = oplu_forward(a + eps * direction, scheme)
-            z_minus, _ = oplu_forward(a - eps * direction, scheme)
+            z_plus = oplu_forward(a + eps * direction, scheme)
+            z_minus = oplu_forward(a - eps * direction, scheme)
             numeric = (z_plus - z_minus) / (2 * eps)
             analytic = direction @ d
             assert np.abs(numeric - analytic).max() <= 1e-8
+
+
+class TestActivate:
+    @pytest.mark.parametrize("name", ["oplu", "relu", "tanh", "sigmoid", "linear"])
+    def test_returns_values_only(self, name):
+        a = np.array([[0.5, -1.0, 2.0, 0.25]])
+        z = activate(make_activation(name, 4), a)
+        assert isinstance(z, np.ndarray)
+        assert z.shape == a.shape
+
+    @pytest.mark.parametrize("adjacent", [True, False])
+    def test_backward_reads_the_permutation_off_the_presynaptic_values(self, adjacent):
+        rng = Rng(21)
+        scheme = PairingScheme.adjacent(8) if adjacent else random_scheme(8, rng)
+        a = np.round(rng.uniform_array(5 * 8, -2, 2).reshape(5, 8), 1)  # ties among them
+        delta = rng.uniform_array(5 * 8, -1, 1).reshape(5, 8)
+        z = activate(scheme, a)
+        back = activate_backward(scheme, delta, a, z)
+        assert np.array_equal(back, oplu_backward(delta, swap_mask(a, scheme), scheme))
+        for row in range(5):
+            assert np.array_equal(activation_jacobian(scheme, a[row]),
+                                  materialize_permutation(swap_mask(a[row], scheme), scheme))
 
 
 class TestScalarActivations:

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             load_config("adding", cfg_file)
 
+    def test_unknown_key_in_file_names_its_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("alpha = 0.01\n\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=r"unknown config key 'bogus' in .*run\.cfg:3$"):
+            load_config("adding", cfg_file)
+
+    def test_bad_value_in_file_names_its_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# epochs next\nepochs = many\n")
+        with pytest.raises(ConfigError, match=r"bad value for 'epochs' in .*run\.cfg:2: "):
+            load_config("adding", cfg_file)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_line_in_file(self, tmp_path, newline):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(newline.join([b"alpha = 0.01", b"\xff", b"seed = 2", b""]))
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: line is not UTF-8 text"):
+            load_config("adding", cfg_file)
+
+    def test_file_is_read_as_utf8(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes("out_dir = runs/\u00e9t\u00e9\r\nseed = 3\n".encode("utf-8"))
+        cfg = load_config("adding", cfg_file)
+        assert cfg["out_dir"] == "runs/\u00e9t\u00e9" and cfg["seed"] == 3
+
+    @pytest.mark.parametrize("missing", ["file", "directory"])
+    def test_unreadable_file(self, tmp_path, missing):
+        path = tmp_path / "absent.cfg" if missing == "file" else tmp_path
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config("adding", path)
+
     def test_unknown_key_on_command_line(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config("adding", overrides={"bogus": "1"})
@@ -108,13 +140,13 @@ class TestRunAdding:
         report = run_adding(cfg)
         assert os.path.exists(report.csv_path)
         assert os.path.exists(report.checkpoint_path)
-        lines = open(report.csv_path).read().splitlines()
+        lines = Path(report.csv_path).read_text().splitlines()
         assert lines[0] == "epoch,train_mse,valid_mse"
         assert len(lines) == 3  # header + 2 epochs
         assert 0.0 <= report.test_success_rate <= 1.0
         net = load_checkpoint(report.checkpoint_path)
         assert net.hidden_dim == 8
-        trace_lines = open(os.path.join(tmp_path, "adding_oplu_T6_delta_trace.csv")).read().splitlines()
+        trace_lines = (tmp_path / "adding_oplu_T6_delta_trace.csv").read_text().splitlines()
         trace_rows = [line for line in trace_lines if not line.startswith("#")]
         assert trace_rows[0] == "step,mean_l2_norm"
         assert len(trace_rows) == 7  # header + one row per unrolled step
@@ -124,8 +156,8 @@ class TestRunAdding:
         out_b = tmp_path / "b"
         rep_a = run_adding(load_config("adding", overrides={**ADDING_SMOKE, "out_dir": str(out_a)}))
         rep_b = run_adding(load_config("adding", overrides={**ADDING_SMOKE, "out_dir": str(out_b)}))
-        assert open(rep_a.csv_path, "rb").read() == open(rep_b.csv_path, "rb").read()
-        assert open(rep_a.checkpoint_path, "rb").read() == open(rep_b.checkpoint_path, "rb").read()
+        assert Path(rep_a.csv_path).read_bytes() == Path(rep_b.csv_path).read_bytes()
+        assert Path(rep_a.checkpoint_path).read_bytes() == Path(rep_b.checkpoint_path).read_bytes()
 
     def test_horizon_default_matches_seq_len(self, tmp_path):
         cfg = load_config("adding", overrides={**ADDING_SMOKE, "out_dir": str(tmp_path)})
@@ -146,7 +178,7 @@ class TestRunAdding:
         assert stopped.diverged_at_epoch is None
         assert (stopped.test_mse, stopped.test_success_rate) == (
             report.test_mse, report.test_success_rate)
-        assert open(stopped.checkpoint_path, "rb").read() == open(report.checkpoint_path, "rb").read()
+        assert Path(stopped.checkpoint_path).read_bytes() == Path(report.checkpoint_path).read_bytes()
         trace = "adding_oplu_T6_delta_trace.csv"
         assert (out / trace).read_bytes() == (tmp_path / "full" / trace).read_bytes()
 
@@ -157,7 +189,7 @@ class TestRunAdding:
         best = int(np.argmin(curve)) + 1
         assert report.diverged_at_epoch is None and len(curve) == 8
         assert best < 8  # the last epoch is not the best
-        assert len(open(report.csv_path).read().splitlines()) == 1 + 8
+        assert len(Path(report.csv_path).read_text().splitlines()) == 1 + 8
         self._assert_scores_epoch(tmp_path, overrides, report, best)
 
     @pytest.mark.parametrize("alpha,seed", [
@@ -171,7 +203,7 @@ class TestRunAdding:
         best = int(np.argmin(curve)) + 1
         assert report.diverged_at_epoch == 6 and len(curve) == 5
         assert best < 5  # the last completed epoch is not the best
-        assert len(open(report.csv_path).read().splitlines()) == 1 + 5
+        assert len(Path(report.csv_path).read_text().splitlines()) == 1 + 5
         self._assert_scores_epoch(tmp_path, overrides, report, best)
 
     @pytest.mark.filterwarnings("error")
@@ -193,7 +225,7 @@ class TestRunGradDiag:
             overrides={"horizon": "1", "repeats": "2", "hidden": "6", "out_dir": str(tmp_path)},
         )
         report = run_grad_diag(cfg)
-        lines = open(report.csv_path).read().splitlines()
+        lines = Path(report.csv_path).read_text().splitlines()
         data_rows = [l for l in lines if not l.startswith("#") and "," in l and "step" not in l]
         assert len(data_rows) == 1
 
@@ -226,7 +258,7 @@ class TestRunGradDiag:
                        "out_dir": str(tmp_path)},
         )
         report = run_grad_diag(cfg)
-        text = open(report.csv_path).read()
+        text = Path(report.csv_path).read_text()
         assert "# activation=tanh" in text
         assert "# init=xavier" in text
         assert "step,mean_l2_norm" in text
@@ -267,9 +299,9 @@ class TestRunMnist:
         rep_b = run_mnist(load_config("mnist", overrides={**overrides, "out_dir": str(tmp_path / "b")}))
         assert rep_a.final_test_accuracies == rep_b.final_test_accuracies
         assert rep_a.best > rep_a.initial_test_accuracy
-        assert open(rep_a.csv_path, "rb").read() == open(rep_b.csv_path, "rb").read()
-        assert open(rep_a.checkpoint_path, "rb").read() == open(rep_b.checkpoint_path, "rb").read()
-        lines = open(rep_a.csv_path).read().splitlines()
+        assert Path(rep_a.csv_path).read_bytes() == Path(rep_b.csv_path).read_bytes()
+        assert Path(rep_a.checkpoint_path).read_bytes() == Path(rep_b.checkpoint_path).read_bytes()
+        lines = Path(rep_a.csv_path).read_text().splitlines()
         assert lines[0] == "run,epoch,train_loss,train_accuracy,test_accuracy"
 
     def test_repeats_report_best_and_mean(self, tmp_path):
@@ -308,7 +340,17 @@ class TestMainExitCodes:
 
     def test_config_error(self, capsys):
         assert main(["adding", "--bogus", "1"]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert "config error: unknown config key 'bogus' in command line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"alpha = 0.01\n\xff\n", b"bogus = 1\n"],
+                             ids=["missing", "not-utf8", "unknown-key"])
+    def test_config_file_problems_exit_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "a.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["adding", "--config", str(cfg), "--show-config"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "a.cfg" in err
 
     @pytest.mark.parametrize("key, value", [("input_dim", "0"), ("input_dim", "-1"),
                                             ("horizon", "0")])

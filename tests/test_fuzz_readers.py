@@ -1,7 +1,10 @@
-"""Byte-mutation fuzzing of the IDX and checkpoint readers.
+"""Byte fuzzing of the IDX, checkpoint and config-file readers.
 
-Each mutated file either loads or is rejected with a ParseError whose
-offset lies inside the file; no other exception may escape a reader.
+Each mutated IDX or checkpoint file either loads or is rejected with a
+ParseError whose offset lies inside the file; no other exception may
+escape a reader. Arbitrary config-file bytes give a config or a
+ConfigError that names a line of the file. validate_config stays out of
+the config fuzz: it builds the whole oplu pairing to check `hidden`.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import build_mlp, build_srn
 from oplu_net import (
+    ConfigError,
     DenseNet,
     ParseError,
     Srn,
@@ -20,6 +24,7 @@ from oplu_net import (
     write_idx_images,
     write_idx_labels,
 )
+from oplu_net.config import SCHEMAS, apply_settings, default_config, parse_config_file
 
 # (header flips as (position, xor mask), truncation length or None, appended
 # bytes); positions and lengths wrap around the file they are applied to
@@ -119,3 +124,27 @@ def test_dense_checkpoint(scratch, dense_checkpoint, mutation):
 @example(mutation=UNCHANGED)
 def test_srn_checkpoint(scratch, srn_checkpoint, mutation):
     check_checkpoint(scratch, srn_checkpoint, mutation, Srn)
+
+
+CONFIG_KEYS = sorted({key for schema in SCHEMAS.values() for key in schema} | {"bogus"})
+# arbitrary bytes, or lines that name real keys with arbitrary values
+CONFIG_BYTES = st.binary(max_size=200) | st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS), st.binary(max_size=12),
+              st.sampled_from([b"\n", b"\r\n", b"\r"])),
+    max_size=6,
+).map(lambda lines: b"".join(k.encode() + b" = " + v + end for k, v, end in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(SCHEMAS)), raw=CONFIG_BYTES)
+@example(kind="adding", raw=b"alpha = 0.01\n\xff\n")
+@example(kind="adding", raw=b"epochs = \xc3\xa9\r")
+def test_config_file(scratch, kind, raw):
+    path = scratch / "run.cfg"
+    path.write_bytes(raw)
+    try:
+        cfg = apply_settings(kind, default_config(kind), parse_config_file(path))
+    except ConfigError as exc:
+        assert f"{path}:" in str(exc)
+    else:
+        assert set(cfg) == set(SCHEMAS[kind])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,16 @@ class TestDenseForward:
         net = build_mlp([4, 4, 2], "tanh")
         with pytest.raises(ShapeError):
             net.forward(np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("activation", ["oplu", "relu"])
+    def test_tape_holds_inputs_presyn_and_postsyn(self, activation):
+        # backward reads each activation derivative off presyn, so no layer
+        # may write its values over its presynaptic input
+        net = build_mlp([4, 6, 6, 2], activation)
+        _, tape = net.forward(Rng(3).uniform_array(3 * 4, -1, 1).reshape(3, 4))
+        assert [f.name for f in dataclasses.fields(tape)] == ["x", "presyn", "postsyn"]
+        for a, z in zip(tape.presyn, tape.postsyn):
+            assert not np.shares_memory(a, z)
 
     def test_non_finite_named_layer(self):
         net = DenseNet(

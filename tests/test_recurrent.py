@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestSrnForward:
         net = build_srn(4, "tanh")
         with pytest.raises(ShapeError):
             srn_forward(net, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("activation", ["oplu", "tanh"])
+    def test_tape_holds_inputs_presyn_and_hidden(self, activation):
+        # BPTT reads each step's activation derivative off presyn, so no
+        # hidden state may be written over it
+        net = build_srn(4, activation)
+        _, tape = net.forward(Rng(3).uniform_array(2 * 5 * 2, -1, 1).reshape(2, 5, 2))
+        assert [f.name for f in dataclasses.fields(tape)] == ["inputs", "presyn", "hidden"]
+        assert not np.shares_memory(tape.presyn, tape.hidden)
 
     @pytest.mark.parametrize("shape", [(3, 5, 3), (3, 0, 2), (5, 2)],
                              ids=["wrong-width", "no-steps", "2-D"])
