@@ -22,6 +22,7 @@ from .errors import ConfigError, NumericError, ParseError, ShapeError
 from .linalg import (
     expm,
     l2_norm,
+    l2_norms,
     random_orthogonal,
     random_orthogonal_rect,
     random_skew_symmetric,

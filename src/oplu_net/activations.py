@@ -8,7 +8,8 @@ backward pass is the same permutation applied to the incoming deltas:
 no scaling of the gradient ever happens inside the activation.
 
 A kind is one of the scalar names or a PairingScheme; models hand it to
-activate and activate_backward and never branch on it themselves. This
+activate and activate_backward (or its two halves, backward_factor and
+apply_backward) and never branch on it themselves. This
 module is the only one that knows the kinds: their names and checkpoint
 tokens, their kink sets and their Jacobians.
 """
@@ -54,8 +55,7 @@ class PairingScheme:
     @classmethod
     def adjacent(cls, width: int) -> "PairingScheme":
         """The default matching (0,1), (2,3), ..., (width-2, width-1)."""
-        if width < 2 or width % 2 != 0:
-            raise ValueError(f"layer width must be a positive even number, got {width}")
+        check_activation_name("oplu", width)
         return cls((i, i + 1) for i in range(0, width, 2))
 
     def __eq__(self, other):
@@ -68,13 +68,20 @@ class PairingScheme:
         return f"PairingScheme({list(self.pairs)!r})"
 
 
+def check_activation_name(name: str, width: int) -> None:
+    """Reject what make_activation would reject, building nothing: an
+    unknown name, or oplu over a width that is not a positive even number."""
+    if name == "oplu":
+        if width < 2 or width % 2 != 0:
+            raise ValueError(f"layer width must be a positive even number, got {width}")
+    elif name not in SCALAR_KINDS:
+        raise ValueError(f"unknown activation {name!r}")
+
+
 def make_activation(name: str, width: int):
     """Activation kind from its serialized name, defaulting oplu to adjacent pairs."""
-    if name == "oplu":
-        return PairingScheme.adjacent(width)
-    if name not in SCALAR_KINDS:
-        raise ValueError(f"unknown activation {name!r}")
-    return name
+    check_activation_name(name, width)
+    return PairingScheme.adjacent(width) if name == "oplu" else name
 
 
 def check_activation(kind, width: int) -> None:
@@ -145,10 +152,15 @@ def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None) -> np.ndarray:
     batch of rows, into `out` when given. `out` may be `a` itself, though
     the backward pass needs `a` kept.
 
-    The values come from np.maximum/np.minimum and equal swap_mask's
-    selection everywhere; only on a tie between -0.0 and +0.0 may numpy
-    give both entries one sign of zero (numpy 2.4 returns the second entry
-    twice). The backward pass follows swap_mask in every case.
+    For the default adjacent pairing and a given `out` that shares no
+    memory with `a`, np.maximum and np.minimum write straight into the
+    output's strided halves. Otherwise (a gathered pairing, no `out`, or one
+    that overlaps `a`) the maxima go into a temporary first.
+
+    The values equal swap_mask's selection everywhere; only on a tie
+    between -0.0 and +0.0 may numpy give both entries one sign of zero
+    (numpy 2.4 returns the second entry twice), the same on either path.
+    The backward pass follows swap_mask in every case.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] != scheme.width:
@@ -156,6 +168,10 @@ def oplu_forward(a: np.ndarray, scheme: PairingScheme, out=None) -> np.ndarray:
     first, second = scheme._members
     if out is None:
         out = np.empty_like(a)
+    elif isinstance(first, slice) and not np.may_share_memory(a, out):
+        np.maximum(a[..., first], a[..., second], out=out[..., first])
+        np.minimum(a[..., first], a[..., second], out=out[..., second])
+        return out
     # the max is taken before `out`, which may alias `a`, is written
     high = np.maximum(a[..., first], a[..., second])
     out[..., second] = np.minimum(a[..., first], a[..., second])
@@ -169,7 +185,10 @@ def oplu_backward(delta_hat: np.ndarray, mask: np.ndarray, scheme: PairingScheme
 
     Swapped pairs exchange their deltas, untouched pairs pass through. The
     output, written into `out` when given, is a reordering of the input,
-    so its L2 norm is preserved exactly.
+    so its L2 norm is preserved exactly. For the default adjacent pairing
+    and a given `out` that shares no memory with the deltas, the deltas are
+    copied and the swapped pairs then overwritten under the mask, which
+    beats np.where on a few rows but not on many.
     """
     delta_hat = np.asarray(delta_hat, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -182,6 +201,11 @@ def oplu_backward(delta_hat: np.ndarray, mask: np.ndarray, scheme: PairingScheme
     first, second = scheme._members
     if out is None:
         out = np.empty_like(delta_hat)
+    elif isinstance(first, slice) and not np.may_share_memory(delta_hat, out):
+        np.copyto(out, delta_hat)
+        np.copyto(out[..., first], delta_hat[..., second], where=mask)
+        np.copyto(out[..., second], delta_hat[..., first], where=mask)
+        return out
     new_first = np.where(mask, delta_hat[..., second], delta_hat[..., first])
     out[..., second] = np.where(mask, delta_hat[..., first], delta_hat[..., second])
     out[..., first] = new_first
@@ -263,10 +287,27 @@ def activate(kind, a: np.ndarray, out=None) -> np.ndarray:
     return scalar_forward(kind, a, out=out)
 
 
+def backward_factor(kind, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The activation's Jacobian at the presynaptic input `a`, in compact
+    form: the swap mask for a pairing, the elementwise derivative otherwise.
+    `z` holds the values that activate returned for `a`. Any number of
+    leading axes may be taken at once, such as all steps of a sequence."""
+    if isinstance(kind, PairingScheme):
+        return swap_mask(a, kind)
+    return scalar_derivative(kind, a, value=z)
+
+
+def apply_backward(kind, delta_hat: np.ndarray, factor: np.ndarray, out=None) -> np.ndarray:
+    """Deltas with respect to the presynaptic input, given those with
+    respect to the values and the backward_factor at that input, written
+    into `out` when given."""
+    if isinstance(kind, PairingScheme):
+        return oplu_backward(delta_hat, factor, kind, out=out)
+    return np.multiply(delta_hat, factor, out=out)
+
+
 def activate_backward(kind, delta_hat: np.ndarray, a: np.ndarray, z: np.ndarray,
                       out=None) -> np.ndarray:
     """Deltas with respect to the presynaptic input `a`, given those with
     respect to the values `z` that activate returned for it."""
-    if isinstance(kind, PairingScheme):
-        return oplu_backward(delta_hat, swap_mask(a, kind), kind, out=out)
-    return np.multiply(delta_hat, scalar_derivative(kind, a, value=z), out=out)
+    return apply_backward(kind, delta_hat, backward_factor(kind, a, z), out=out)

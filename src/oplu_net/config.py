@@ -10,7 +10,7 @@ import math
 import os
 import re
 
-from .activations import make_activation
+from .activations import check_activation_name
 from .errors import ConfigError
 from .linalg import INIT_KINDS
 
@@ -155,7 +155,7 @@ def validate_config(kind: str, cfg: dict) -> dict:
     if kind == "grad-diag" and cfg["horizon"] < 1:
         raise ConfigError(f"horizon must be >= 1, got {cfg['horizon']}")
     try:
-        make_activation(cfg["activation"], cfg["hidden"])
+        check_activation_name(cfg["activation"], cfg["hidden"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import activation_jacobian
 from .errors import ShapeError
-from .linalg import l2_norm
+from .linalg import l2_norms
 from .network import DenseNet, loss_value, random_target
 from .rng import Rng
 
@@ -132,14 +132,19 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     and then its target from rng, and its norms join the sum in repeat
     order, so the random stream is the same for any pass size; only the
     matrix products, whose summation order depends on the number of rows
-    in a pass, can move the trace in the last bits.
+    in a pass, can move the trace in the last bits. A pass takes the norms
+    of all its stages and rows in one l2_norms call, each exactly as
+    l2_norm gives it.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     x, _ = sample
     shape = np.shape(x)
     # a row's tape holds presynaptic values, activations and deltas, as many
-    # of each as the presynaptic tape of a one-row forward pass
+    # of each as the presynaptic tape of a one-row forward pass. The backward
+    # factors of a recurrent pass are left out: a scalar kind's derivatives
+    # add one more tape-sized array, a pairing's swap masks one byte per
+    # pair. The rows per pass set the GEMM shapes, and so the trace's bits.
     sizes = [np.size(a) for a in model.forward(np.zeros((1,) + shape))[1].presyn]
     rows = max(1, TRACE_TAPE_BYTES // (3 * 8 * sum(sizes)))
     total = np.zeros(len(sizes))
@@ -149,8 +154,10 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
                  for _ in range(min(rows, repeats - start))]
         inputs, targets = zip(*draws)
         stages = model.gradients(np.stack(inputs), np.stack(targets))[1]  # per timestep or layer
+        # every stage's rows in one call: stage k of repeat i at [k, i]
+        norms = np.reshape(l2_norms(stages), (len(stages), -1))
         for i in range(len(inputs)):
-            total += np.asarray([l2_norm(stage[i]) for stage in stages])
+            total += norms[:, i]
     return NormTrace([float(v) for v in total / repeats])
 
 

@@ -147,15 +147,33 @@ def init_weights(init: str, rows: int, cols: int, rng: Rng) -> np.ndarray:
     raise ValueError(f"unknown init {init!r}")
 
 
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm via exactly-rounded summation.
+def l2_norms(rows) -> list:
+    """Euclidean norm of every row of `rows` via exactly-rounded summation.
 
-    math.fsum makes the sum of squares independent of element order, so
-    permuting a vector never changes its norm, not even in the last bit.
-    The squares come from one numpy pass: an IEEE product rounds the same
-    in numpy as in Python, and a square that overflows is inf either way.
+    A row is a vector along the last axis, of one array or of each array
+    of a list in turn; a 0-d array is one row of one entry. math.fsum makes
+    a sum of squares independent of element order, so permuting a vector
+    never changes its norm, not even in the last bit. All the squares come
+    from one numpy pass: an IEEE product rounds the same in numpy as in
+    Python, and a square that overflows is inf either way. Each fsum then
+    reads its row's slice of them through a memoryview.
     """
-    v = np.asarray(v, dtype=np.float64).ravel()
+    blocks = [np.asarray(b, dtype=np.float64)
+              for b in ([rows] if isinstance(rows, np.ndarray) else rows)]
+    squares = np.concatenate(blocks, axis=None)
     with np.errstate(over="ignore"):
-        squares = np.square(v)
-    return math.sqrt(math.fsum(squares.tolist()))
+        np.square(squares, out=squares)
+    view = memoryview(squares)
+    norms = []
+    start = 0
+    for b in blocks:
+        width = b.shape[-1] if b.ndim else 1
+        for _ in range(math.prod(b.shape[:-1])):
+            norms.append(math.sqrt(math.fsum(view[start:start + width])))
+            start += width
+    return norms
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, flattened, as l2_norms gives it."""
+    return l2_norms(np.ravel(v))[0]

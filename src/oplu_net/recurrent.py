@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
+from .activations import activate, apply_backward, backward_factor, check_activation
+from .activations import kink_gap, make_activation
 from .errors import NumericError, ShapeError
-from .linalg import init_weights, l2_norm
+from .linalg import init_weights, l2_norms
 from .network import loss_rows, loss_value, output_delta
 from .rng import Rng
 
@@ -185,13 +186,14 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
     residual = output_delta(net.loss, y, targets)
     deltas = np.empty((unroll, batch, net.hidden_dim))
     w_rec_t = np.ascontiguousarray(net.w_rec.T)
+    kind = net.hidden_activation
     with np.errstate(over="ignore", invalid="ignore"):
-        # the delta recursion, newest step first
+        # the activation Jacobians of all unrolled steps in one call, so each
+        # step of the delta recursion, newest first, is one apply and one GEMM
+        factors = backward_factor(kind, tape.presyn[first:], tape.hidden[first + 1:])
         delta_hat = residual @ net.w_out.T
         for k in range(unroll - 1, -1, -1):
-            t = first + k
-            activate_backward(net.hidden_activation, delta_hat, tape.presyn[t], tape.hidden[t + 1],
-                              out=deltas[k])
+            apply_backward(kind, delta_hat, factors[k], out=deltas[k])
             if k:
                 np.matmul(deltas[k], w_rec_t, out=delta_hat)
         # shared weights: one product sums each gradient over steps and samples
@@ -223,7 +225,7 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     first, for gradient-flow diagnostics.
     """
     grads, _, deltas = _bptt_batch(net, sample.inputs[None], sample.target[None], cfg.horizon)
-    return grads, [l2_norm(delta[0]) for delta in deltas]
+    return grads, l2_norms(deltas[:, 0])
 
 
 def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:

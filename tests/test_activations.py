@@ -19,6 +19,9 @@ from oplu_net.activations import (
     activate,
     activate_backward,
     activation_jacobian,
+    apply_backward,
+    backward_factor,
+    check_activation_name,
     make_activation,
 )
 
@@ -145,6 +148,98 @@ class TestOpluBackward:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ShapeError):
             oplu_backward(np.zeros(2), np.array([True, False]), PAIR01)
+
+
+SPECIALS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324]
+
+
+def special_pairs(rows):
+    """Rows over every ordered pair of SPECIALS, each row rotated by one
+    pair more than the last, so rows differ."""
+    pairs = [(x, y) for x in SPECIALS for y in SPECIALS]
+    return np.array([np.ravel(pairs[r:] + pairs[:r]) for r in range(rows)])
+
+
+class TestAdjacentKernels:
+    """The adjacent pairing's direct kernels, which write into a separate
+    `out`, against the aliased and the gathered-index paths, bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (4,), (20,), (2, 3)])
+    def test_forward_and_backward_paths_agree(self, lead):
+        a = special_pairs(int(np.prod(lead))).reshape(lead + (-1,))
+        delta = np.roll(a, 1, axis=-1)
+        adjacent = PairingScheme.adjacent(a.shape[-1])
+        # the same pairs listed in another order take the gathered path
+        gathered = PairingScheme(adjacent.pairs[::-1])
+
+        direct = oplu_forward(a, adjacent, out=np.empty_like(a))
+        aliased = a.copy()
+        oplu_forward(aliased, adjacent, out=aliased)
+        for other in (aliased, oplu_forward(a, adjacent), oplu_forward(a, gathered),
+                      oplu_forward(a, gathered, out=np.empty_like(a))):
+            assert direct.tobytes() == other.tobytes()
+
+        mask = swap_mask(a, adjacent)
+        assert mask.any() and not mask.all()
+        back = oplu_backward(delta, mask, adjacent, out=np.empty_like(delta))
+        aliased = delta.copy()
+        oplu_backward(aliased, mask, adjacent, out=aliased)
+        for other in (aliased, oplu_backward(delta, mask, adjacent),
+                      oplu_backward(delta, swap_mask(a, gathered), gathered)):
+            assert back.tobytes() == other.tobytes()
+
+    def test_out_that_overlaps_the_input_takes_the_temporary(self):
+        # out shifted by one pair against the input: a direct write would
+        # read pairs it has already written
+        rng = Rng(14)
+        buf = rng.uniform_array(12, -1, 1)
+        scheme = PairingScheme.adjacent(10)
+        expected = oplu_forward(buf[:10], scheme)
+        oplu_forward(buf[:10], scheme, out=buf[2:])
+        assert np.array_equal(buf[2:], expected)
+        delta = rng.uniform_array(12, -1, 1)
+        mask = swap_mask(rng.uniform_array(10, -1, 1), scheme)
+        expected = oplu_backward(delta[2:], mask, scheme)
+        oplu_backward(delta[2:], mask, scheme, out=delta[:10])
+        assert np.array_equal(delta[:10], expected)
+
+
+class TestBackwardSplit:
+    @pytest.mark.parametrize("name", ["oplu", "relu", "tanh", "sigmoid", "linear"])
+    def test_factor_then_apply_is_activate_backward(self, name):
+        rng = Rng(33)
+        kind = make_activation(name, 6)
+        a = np.round(rng.uniform_array(3 * 4 * 6, -2, 2).reshape(3, 4, 6), 1)
+        delta = rng.uniform_array(3 * 4 * 6, -1, 1).reshape(3, 4, 6)
+        z = activate(kind, a)
+        # the factors of all three steps at once, applied one step at a time
+        factors = backward_factor(kind, a, z)
+        for t in range(3):
+            out = np.empty((4, 6))
+            assert apply_backward(kind, delta[t], factors[t], out=out) is out
+            expected = activate_backward(kind, delta[t], a[t], z[t])
+            assert out.tobytes() == expected.tobytes()
+
+    def test_pairing_factor_is_the_swap_mask(self):
+        scheme = PairingScheme.adjacent(4)
+        a = np.array([[1.0, 2.0, 3.0, -1.0]])
+        assert np.array_equal(backward_factor(scheme, a, activate(scheme, a)), swap_mask(a, scheme))
+
+
+class TestCheckActivationName:
+    @pytest.mark.parametrize("name,width", [("oplu", 2), ("oplu", 400_000_000), ("tanh", 3),
+                                            ("relu", 1), ("linear", 7), ("sigmoid", 10)])
+    def test_accepts(self, name, width):
+        check_activation_name(name, width)
+
+    @pytest.mark.parametrize("name,width", [("oplu", 5), ("oplu", 0), ("oplu", -2), ("swish", 4),
+                                            ("Tanh", 4)])
+    def test_rejects_what_make_activation_rejects(self, name, width):
+        with pytest.raises(ValueError) as checked:
+            check_activation_name(name, width)
+        with pytest.raises(ValueError) as made:
+            make_activation(name, width)
+        assert str(checked.value) == str(made.value)
 
 
 class TestMaterializedPermutation:

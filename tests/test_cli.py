@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestConfig:
     def test_odd_oplu_hidden_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             load_config("adding", overrides={"hidden": "7"})
+
+    def test_wide_oplu_hidden_is_checked_without_building_the_pairing(self):
+        # the adjacent pairing of 400,000 units takes tens of MiB to build
+        tracemalloc.start()
+        try:
+            cfg = load_config("grad-diag", overrides={"hidden": "400000"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cfg["hidden"] == 400000
+        assert peak <= 1 << 20
 
     def test_checkpoint_activation_token_rejected(self):
         # the pairing list is checkpoint syntax; the CLI takes names only

@@ -196,6 +196,30 @@ class TestBatchedTraceReplay:
         assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
         assert rng.next_u64() == replay.next_u64()
 
+    @pytest.mark.parametrize("model", ["srn", "dense"])
+    def test_pass_norms_sum_row_by_row_bit_for_bit(self, monkeypatch, model):
+        # each pass replayed through the model's gradients, its norms added
+        # one repeat at a time as l2_norm gives them
+        if model == "srn":
+            net, template = build_srn(8, "tanh", seed=19), (np.zeros((6, 2)), np.zeros(1))
+            monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * 6 * 8 * 8))
+        else:
+            net, template = build_mlp([5, 6, 4], "oplu", seed=19), (np.zeros(5), np.zeros(4))
+            monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * (6 + 4) * 8))
+        trace = trace_delta_norms(net, template, 7, Rng(42))
+
+        replay = Rng(42)
+        total = 0.0
+        for rows in (3, 3, 1):
+            draws = [(replay.uniform_array(np.size(template[0])).reshape(np.shape(template[0])),
+                      replay.uniform_array(np.size(template[1])))
+                     for _ in range(rows)]
+            inputs, targets = zip(*draws)
+            _, deltas = net.gradients(np.stack(inputs), np.stack(targets))
+            for i in range(rows):
+                total = total + np.asarray([l2_norm(d[i]) for d in deltas])
+        assert trace.norms == [float(v) for v in total / 7]
+
     @pytest.mark.parametrize("loss", ["softmax_xent", "mse"])
     @pytest.mark.parametrize("repeats,passes", PASSES)
     def test_dense_matches_per_sample_backprop(self, monkeypatch, loss, repeats, passes):

@@ -2,9 +2,8 @@
 
 Each mutated IDX or checkpoint file either loads or is rejected with a
 ParseError whose offset lies inside the file; no other exception may
-escape a reader. Arbitrary config-file bytes give a config or a
-ConfigError that names a line of the file. validate_config stays out of
-the config fuzz: it builds the whole oplu pairing to check `hidden`.
+escape a reader. Arbitrary config-file bytes give a validated config or a
+ConfigError; one raised while reading the file names a line of it.
 """
 
 import numpy as np
@@ -24,7 +23,13 @@ from oplu_net import (
     write_idx_images,
     write_idx_labels,
 )
-from oplu_net.config import SCHEMAS, apply_settings, default_config, parse_config_file
+from oplu_net.config import (
+    SCHEMAS,
+    apply_settings,
+    default_config,
+    parse_config_file,
+    validate_config,
+)
 
 # (header flips as (position, xor mask), truncation length or None, appended
 # bytes); positions and lengths wrap around the file they are applied to
@@ -139,6 +144,9 @@ CONFIG_BYTES = st.binary(max_size=200) | st.lists(
 @given(kind=st.sampled_from(sorted(SCHEMAS)), raw=CONFIG_BYTES)
 @example(kind="adding", raw=b"alpha = 0.01\n\xff\n")
 @example(kind="adding", raw=b"epochs = \xc3\xa9\r")
+# a wide even layer and an odd one
+@example(kind="grad-diag", raw=b"hidden = 400000\n")
+@example(kind="adding", raw=b"hidden = 99999\n")
 def test_config_file(scratch, kind, raw):
     path = scratch / "run.cfg"
     path.write_bytes(raw)
@@ -146,5 +154,9 @@ def test_config_file(scratch, kind, raw):
         cfg = apply_settings(kind, default_config(kind), parse_config_file(path))
     except ConfigError as exc:
         assert f"{path}:" in str(exc)
-    else:
-        assert set(cfg) == set(SCHEMAS[kind])
+        return
+    assert set(cfg) == set(SCHEMAS[kind])
+    try:
+        assert validate_config(kind, cfg) is cfg
+    except ConfigError:
+        pass

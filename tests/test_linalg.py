@@ -12,6 +12,7 @@ from oplu_net import (
     ShapeError,
     expm,
     l2_norm,
+    l2_norms,
     random_orthogonal,
     random_orthogonal_rect,
     random_skew_symmetric,
@@ -232,6 +233,33 @@ class TestL2Norm:
             assert l2_norm(np.array([1e200, 1.0])) == math.inf
 
 
+class TestL2Norms:
+    def test_each_row_equals_l2_norm(self):
+        rng = Rng(41)
+        rows = rng.uniform_array(4 * 5 * 7, -3, 3).reshape(4, 5, 7)
+        rows[0, 0, :2] = 1e200, -1e200  # squares overflow to inf
+        rows[1, 2] = [5e-324, -2.5e-310, 1e-300, 0.0, -0.0, 0.0, 1e-160]
+        rows[2, 3] = 1e150
+        norms = l2_norms(rows)
+        assert norms[0] == math.inf
+        assert norms == [l2_norm(row) for row in rows.reshape(-1, 7)]
+
+    def test_list_of_arrays_runs_over_each_arrays_rows_in_turn(self):
+        rng = Rng(42)
+        blocks = [rng.uniform_array(3 * 4, -1, 1).reshape(3, 4), rng.uniform_array(6, -1, 1),
+                  np.zeros((2, 0)), np.array(-2.5), [1e200, 3.0]]
+        expected = [l2_norm(row) for row in blocks[0]] + [l2_norm(blocks[1]), 0.0, 0.0, 2.5, math.inf]
+        assert l2_norms(blocks) == expected
+
+    def test_no_rows(self):
+        assert l2_norms(np.zeros((0, 5))) == []
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l2_norms(np.array([[1e200, 1.0], [3.0, 4.0]])) == [math.inf, 5.0]
+
+
 class TestRng:
     def test_identical_seeds_identical_streams(self):
         a, b = Rng(99), Rng(99)
@@ -273,8 +301,30 @@ class TestRng:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # three uint64 block temporaries are live at once
+        # two uint64 block buffers are live at once
         assert peak <= 8 * n + 4 * 8 * UNIFORM_BLOCK
+
+    def test_block_buffers_keep_the_scalar_stream(self):
+        # calls whose blocks straddle block edges and the 4096-draw counter
+        # table, then the other block-drawn methods, all on one stream
+        a, b = Rng(13), Rng(13)
+        for n in (5000, UNIFORM_BLOCK + 4097, 3):
+            block = a.uniform_array(n, -1.0, 1.0)
+            scalars = np.array([b.uniform(-1.0, 1.0) for _ in range(n)])
+            assert block.tobytes() == scalars.tobytes()
+        assert a.randint_array(9000, 1000).tolist() == [b.randint(1000) for _ in range(9000)]
+        assert a.next_u64() == b.next_u64()
+
+    def test_uniform_peak_is_output_plus_two_blocks(self):
+        n = 4 * UNIFORM_BLOCK
+        tracemalloc.start()
+        try:
+            Rng(3).uniform_array(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output and one pair of reused uint64 block buffers
+        assert peak <= 8 * n + 2 * 8 * UNIFORM_BLOCK + 16 * 1024
 
     def test_randint_block_matches_scalar(self):
         a, b = Rng(5), Rng(5)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oplu_net import (
     BpttConfig,
     DenseLayer,
     DenseNet,
+    PairingScheme,
     Rng,
     SequenceSample,
     ShapeError,
@@ -20,8 +22,11 @@ from oplu_net import (
     loss_value,
     random_orthogonal,
     srn_forward,
+    trace_delta_norms,
 )
-from oplu_net.activations import make_activation
+from oplu_net import activations, diagnostics, linalg
+from oplu_net.activations import activate_backward, make_activation
+from oplu_net.network import output_delta
 from oplu_net.recurrent import _bptt_batch, _srn_forward_batch, _srn_predict_batch
 
 
@@ -348,3 +353,117 @@ class TestSrnValidation:
     def test_default_initial_state_is_zero(self):
         net = build_srn(4, "tanh")
         assert np.array_equal(net.h0, np.zeros(4))
+
+
+def reference_bptt(net, inputs, targets, horizon):
+    """_bptt_batch written one step at a time: each step's activate_backward
+    reads its Jacobian off that step's presynaptic values, through the
+    kernels' out=None path."""
+    y, tape = _srn_forward_batch(net, inputs)
+    steps, batch = tape.presyn.shape[0], tape.presyn.shape[1]
+    unroll = min(steps, horizon)
+    first = steps - unroll
+    residual = output_delta(net.loss, y, targets)
+    deltas = np.empty((unroll, batch, net.hidden_dim))
+    w_rec_t = np.ascontiguousarray(net.w_rec.T)
+    delta_hat = residual @ net.w_out.T
+    for k in range(unroll - 1, -1, -1):
+        t = first + k
+        deltas[k] = activate_backward(net.hidden_activation, delta_hat, tape.presyn[t],
+                                      tape.hidden[t + 1])
+        if k:
+            np.matmul(deltas[k], w_rec_t, out=delta_hat)
+    d = deltas.reshape(-1, net.hidden_dim)
+    grads = [
+        tape.inputs[first:].reshape(-1, net.input_dim).T @ d / batch,
+        tape.hidden[first:steps].reshape(-1, net.hidden_dim).T @ d / batch,
+        d.sum(axis=0) / batch,
+        tape.hidden[steps].T @ residual / batch,
+        residual.mean(axis=0),
+    ]
+    return grads, loss_value(net.loss, y, targets), deltas
+
+
+def oracle_net(activation):
+    """An 8-unit SRN with random biases and initial state; "oplu-gathered"
+    pairs its units in a shuffled order, which takes the gathered kernels."""
+    name = "oplu" if activation.startswith("oplu") else activation
+    net = build_srn(8, name, init="orthogonal" if name == "oplu" else "xavier", seed=31)
+    rng = Rng(32)
+    net.b_h[...] = rng.uniform_array(8, -0.5, 0.5)
+    net.h0[...] = rng.uniform_array(8, -1, 1)
+    if activation == "oplu-gathered":
+        order = list(range(8))
+        rng.shuffle(order)
+        net = dataclasses.replace(net, hidden_activation=PairingScheme(zip(order[0::2], order[1::2])))
+    return net
+
+
+ORACLE_ACTIVATIONS = ["oplu", "oplu-gathered", "tanh", "relu", "sigmoid", "linear"]
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("horizon", [7, 3])
+    @pytest.mark.parametrize("activation", ORACLE_ACTIVATIONS)
+    def test_bptt_batch_equals_per_step_reference(self, activation, horizon):
+        net = oracle_net(activation)
+        rng = Rng(33)
+        inputs = rng.uniform_array(5 * 7 * 2, -1, 1).reshape(5, 7, 2)
+        targets = rng.uniform_array(5).reshape(5, 1)
+        grads, loss, deltas = _bptt_batch(net, inputs, targets, horizon)
+        ref_grads, ref_loss, ref_deltas = reference_bptt(net, inputs, targets, horizon)
+        assert deltas.shape == (horizon, 5, 8)
+        assert deltas.tobytes() == ref_deltas.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+        assert loss == ref_loss
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call to module.name, through every
+    binding of that function in the package's modules."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "oplu_net" or mod_name.startswith("oplu_net."):
+            for key, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+class TestCallCounts:
+    """Guards the cost of a step: the activation Jacobians of all unrolled
+    steps come from one call, and a trace pass takes its norms in one."""
+
+    @pytest.mark.parametrize("activation", ["oplu", "tanh"])
+    def test_one_factor_call_and_one_apply_per_unrolled_step(self, monkeypatch, activation):
+        net = oracle_net(activation)
+        factors = count_calls(monkeypatch, activations, "backward_factor")
+        masks = count_calls(monkeypatch, activations, "swap_mask")
+        applies = count_calls(monkeypatch, activations, "apply_backward")
+        rng = Rng(34)
+        inputs = rng.uniform_array(3 * 7 * 2).reshape(3, 7, 2)
+        targets = rng.uniform_array(3).reshape(3, 1)
+        for horizon, unroll in ((7, 7), (3, 3), (20, 7)):
+            for calls in (factors, masks, applies):
+                calls.clear()
+            _bptt_batch(net, inputs, targets, horizon)
+            assert len(factors) == 1
+            assert len(masks) == (1 if activation == "oplu" else 0)
+            assert len(applies) == unroll
+
+    def test_one_norm_call_per_trace_pass(self, monkeypatch):
+        steps, hidden = 6, 8
+        net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
+        # three rows a pass: 7 repeats take passes of 3, 3 and 1
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * steps * hidden * 8))
+        batched = count_calls(monkeypatch, linalg, "l2_norms")
+        single = count_calls(monkeypatch, linalg, "l2_norm")
+        trace_delta_norms(net, SequenceSample(np.zeros((steps, 2)), np.zeros(1)), 7, Rng(40))
+        assert len(batched) == 3
+        assert single == []
