@@ -21,11 +21,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# k * GAMMA mod 2^64 for k = 1..4096, the counter offsets of a run of draws
-_STEPS = np.arange(1, 4097, dtype=np.uint64) * np.uint64(_GAMMA)
-
-# draws per block of uniform_array, so its buffers stay two blocks in size
-# however many values it returns
+# draws per block of uniform_array, so its temporaries stay a few blocks in
+# size however many values it returns
 UNIFORM_BLOCK = 1 << 16
 
 
@@ -45,25 +42,16 @@ class Rng:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix(self._state)
 
-    def _u64_block(self, n: int, out=None, scratch=None) -> np.ndarray:
-        """Next n raw draws as a uint64 array, advancing the stream by n.
-
-        The draws are written into `out` and the intermediate shifts into
-        `scratch`, uint64 arrays of n entries that are allocated when not
-        given; a caller that passes both allocates nothing.
-        """
-        z = np.empty(n, dtype=np.uint64) if out is None else out
-        shifted = np.empty(n, dtype=np.uint64) if scratch is None else scratch
-        # the counters state + k * GAMMA, k = 1..n, one table's length at a time
-        for start in range(0, n, _STEPS.size):
-            base = np.uint64((self._state + start * _GAMMA) & _MASK64)
-            np.add(_STEPS[:n - start], base, out=z[start:start + _STEPS.size])
-        for shift, factor in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(z, np.uint64(shift), out=shifted)
-            z ^= shifted
-            z *= np.uint64(factor)
-        np.right_shift(z, np.uint64(31), out=shifted)
-        z ^= shifted
+    def _u64_block(self, n: int, out=None) -> np.ndarray:
+        """Next n raw draws as a uint64 array, advancing the stream by n,
+        written into `out` (n entries) when given."""
+        z = np.multiply(np.arange(1, n + 1, dtype=np.uint64), np.uint64(_GAMMA), out=out)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
         self._state = (self._state + n * _GAMMA) & _MASK64
         return z
 
@@ -74,15 +62,15 @@ class Rng:
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """The next n uniform() draws as a float64 array, bit for bit.
 
-        The output is filled UNIFORM_BLOCK draws at a time through one pair
-        of block buffers, so besides it only two blocks of raw draws are
-        allocated.
+        The output is filled UNIFORM_BLOCK draws at a time through one
+        reused block of raw draws, so besides it only that block and one
+        block-sized temporary are live at once.
         """
         out = np.empty(n)
-        raw = np.empty((2, min(n, UNIFORM_BLOCK)), dtype=np.uint64)
+        raw = np.empty(min(n, UNIFORM_BLOCK), dtype=np.uint64)
         for start in range(0, n, UNIFORM_BLOCK):
             u = out[start:start + UNIFORM_BLOCK]
-            bits = self._u64_block(u.size, out=raw[0, :u.size], scratch=raw[1, :u.size])
+            bits = self._u64_block(u.size, out=raw[:u.size])
             bits >>= np.uint64(11)
             # an assignment casts without the buffer a mixed-type ufunc takes
             u[...] = bits

@@ -161,8 +161,9 @@ def special_pairs(rows):
 
 
 class TestAdjacentKernels:
-    """The adjacent pairing's direct kernels, which write into a separate
-    `out`, against the aliased and the gathered-index paths, bit for bit."""
+    """The adjacent pairing's direct forward write, into a separate or a
+    fresh `out`, against the aliased and the gathered-index paths, and the
+    backward pass over the same inputs, bit for bit."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (4,), (20,), (2, 3)])
     def test_forward_and_backward_paths_agree(self, lead):

@@ -301,12 +301,12 @@ class TestRng:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two uint64 block buffers are live at once
+        # the reused uint64 block and one block temporary are live at once
         assert peak <= 8 * n + 4 * 8 * UNIFORM_BLOCK
 
     def test_block_buffers_keep_the_scalar_stream(self):
-        # calls whose blocks straddle block edges and the 4096-draw counter
-        # table, then the other block-drawn methods, all on one stream
+        # calls whose blocks straddle block edges, then the other
+        # block-drawn methods, all on one stream
         a, b = Rng(13), Rng(13)
         for n in (5000, UNIFORM_BLOCK + 4097, 3):
             block = a.uniform_array(n, -1.0, 1.0)
@@ -323,7 +323,7 @@ class TestRng:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the output and one pair of reused uint64 block buffers
+        # the output, the reused uint64 block and one block temporary
         assert peak <= 8 * n + 2 * 8 * UNIFORM_BLOCK + 16 * 1024
 
     def test_randint_block_matches_scalar(self):
