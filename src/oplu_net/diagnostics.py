@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import activation_jacobian
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .linalg import l2_norms
 from .network import DenseNet, loss_value, random_target
 from .rng import Rng
@@ -30,7 +30,7 @@ class NormTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if any(n < 0 for n in self.norms):
+        if not all(n >= 0 for n in self.norms):  # NaN fails too
             raise ValueError("norms must be non-negative")
 
 
@@ -134,7 +134,8 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     matrix products, whose summation order depends on the number of rows
     in a pass, can move the trace in the last bits. A pass takes the norms
     of all its stages and rows in one l2_norms call, each exactly as
-    l2_norm gives it.
+    l2_norm gives it. A NaN norm, from deltas that overflow on their way
+    back through the steps or layers, raises NumericError.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -158,6 +159,8 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
         norms = np.reshape(l2_norms(stages), (len(stages), -1))
         for i in range(len(inputs)):
             total += norms[:, i]
+    if np.isnan(total).any():
+        raise NumericError(f"NaN delta norm at trace step {int(np.argmax(np.isnan(total))) + 1}")
     return NormTrace([float(v) for v in total / repeats])
 
 

@@ -17,6 +17,10 @@ INIT_KINDS = ("xavier", "orthogonal")
 
 DEFAULT_SKEW_SCALE = math.pi
 
+# the unit roundoff of float64 and its least positive value, for l2_norms
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+
 # expm's Taylor polynomial: degree 20, with the coefficients 1/k! grouped in
 # threes for the Paterson-Stockmeyer evaluation in X^3
 _TAYLOR_DEGREE = 20
@@ -148,30 +152,99 @@ def init_weights(init: str, rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 
 def l2_norms(rows) -> list:
-    """Euclidean norm of every row of `rows` via exactly-rounded summation.
+    """Euclidean norm of every row of `rows`: the square root of the exactly
+    rounded sum of its squares, the sum math.fsum gives.
 
     A row is a vector along the last axis, of one array or of each array
-    of a list in turn; a 0-d array is one row of one entry. math.fsum makes
-    a sum of squares independent of element order, so permuting a vector
-    never changes its norm, not even in the last bit. All the squares come
-    from one numpy pass: an IEEE product rounds the same in numpy as in
-    Python, and a square that overflows is inf either way. Each fsum then
-    reads its row's slice of them through a memoryview.
+    of a list in turn; a 0-d array is one row of one entry. An exactly
+    rounded sum does not depend on the order of its terms, so permuting a
+    vector never changes its norm, not even in the last bit.
     """
-    blocks = [np.asarray(b, dtype=np.float64)
-              for b in ([rows] if isinstance(rows, np.ndarray) else rows)]
-    squares = np.concatenate(blocks, axis=None)
-    with np.errstate(over="ignore"):
-        np.square(squares, out=squares)
-    view = memoryview(squares)
     norms = []
-    start = 0
-    for b in blocks:
-        width = b.shape[-1] if b.ndim else 1
-        for _ in range(math.prod(b.shape[:-1])):
-            norms.append(math.sqrt(math.fsum(view[start:start + width])))
-            start += width
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in ([rows] if isinstance(rows, np.ndarray) else rows):
+            b = np.asarray(b, dtype=np.float64)
+            width = b.shape[-1] if b.ndim else 1
+            norms += _block_norms(b.reshape(math.prod(b.shape[:-1]), width))
     return norms
+
+
+def _block_norms(x: np.ndarray) -> list:
+    """The norm of every row of the (count, width) block x, in a few numpy
+    passes over the block; a row the passes cannot certify takes
+    _fallback_norm.
+
+    Extraction (Rump, Ogita & Oishi, "Accurate floating-point summation
+    part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008). Let p be
+    a row's squares, n its width, S their exact sum, u = 2^-53 and
+    gamma_k = k u / (1 - k u). Their float sum s, in any order, is within
+    gamma_(n-1) S of S, so sigma, the second power of two above s, is at
+    least S and at most 4.1 S. Each q = (sigma + p) - sigma is p rounded to
+    a multiple of g, the spacing of the doubles in [sigma, 2 sigma) (2u
+    sigma, or 2^-1074 below the normal range), and p - q is exact and at
+    most g/2 <= u sigma. The q add up to at most S + n u sigma < 2 sigma,
+    and every multiple of g below 2 sigma is a double, so `high`, their sum
+    in any order, is exact. `low`, the float sum of the remainders in any
+    order, is within gamma_(n-1) n u sigma <= 1.01 n^2 u^2 sigma of theirs
+    (n u < 0.0099: any width that fits in memory). So S = high + low + e
+    with |e| <= 1.01 n^2 u^2 sigma.
+
+    Certificate. r = fl(high + low), and Knuth's TwoSum gives
+    d = high + low - r exactly. S rounds to r if S - r = d + e lies
+    strictly inside (-g_down/2, g_up/2), g_up and g_down the gaps from r to
+    the next double up and down (at a power of two, g_down is half g_up).
+    A row passes if g_up - 2d and g_down + 2d both exceed
+    slack = 4 n^2 u^2 sigma + 2^-1074: that is over 2|e| even after these
+    float subtractions round, and the 2^-1074 covers slack's underflow. A
+    row of zeros (s = 0) passes too. A passing row's norm is sqrt(r), which
+    numpy rounds correctly, as math.sqrt does.
+
+    Every other row takes the fallback: an interval that reaches a rounding
+    boundary, such as a sum on or within slack of a midpoint between two
+    doubles, where the tie rule decides; and a NaN or inf square, or a sum
+    so near the top of the range that s, sigma or sigma + p overflows,
+    which makes d NaN and fails both comparisons. At width 100 slack is
+    below 2e-11 of r's gap, so a row of ordinary data almost never falls
+    back; exact ties are common in rows of a few entries.
+    """
+    n = x.shape[1]
+    p = np.square(x)
+    s = p.sum(axis=1)
+    sigma = np.ldexp(1.0, np.frexp(s)[1] + 1)
+    q = p + sigma[:, None]
+    q -= sigma[:, None]
+    high = q.sum(axis=1)
+    np.subtract(p, q, out=q)
+    low = q.sum(axis=1)
+    r = high + low
+    b = r - high
+    d2 = 2 * ((high - (r - b)) + (low - b))
+    slack = sigma * (4.0 * n * n * _U * _U) + _TINY
+    ok = (np.nextafter(r, math.inf) - r - d2 > slack) & (r - np.nextafter(r, 0.0) + d2 > slack)
+    ok |= s == 0
+    norms = np.sqrt(r).tolist()
+    for i in np.flatnonzero(~ok):
+        norms[i] = _fallback_norm(x[i])
+    return norms
+
+
+def _fallback_norm(row: np.ndarray) -> float:
+    """math.sqrt(math.fsum(row ** 2)). A finite row whose squares or their
+    sum overflow is first scaled by 2^-e, 2^e the power of two above its
+    largest magnitude, so its norm is inf only when the norm itself is
+    beyond the float range; a row with an inf entry gives inf, and one with
+    a NaN entry NaN."""
+    try:
+        total = math.fsum(memoryview(np.square(row)))
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return math.sqrt(total)
+    big = float(np.max(np.abs(row)))
+    if not big < math.inf:
+        return big
+    e = math.frexp(big)[1]
+    return float(np.ldexp(math.sqrt(math.fsum(memoryview(np.square(np.ldexp(row, -e))))), e))
 
 
 def l2_norm(v: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 
 from oplu_net import (
@@ -51,3 +53,23 @@ def orthogonal_oplu_net(depth, width, seed=0, loss="mse"):
         for _ in range(depth)
     ]
     return DenseNet(layers, loss)
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call to module.name, through module
+    (math.fsum as linalg calls it, say) and through every binding of that
+    function in the package's modules."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "oplu_net" or mod_name.startswith("oplu_net."):
+            for key, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls

@@ -5,6 +5,7 @@ from conftest import build_mlp, build_srn, orthogonal_oplu_net, smooth_mlp_sampl
 from oplu_net import (
     BpttConfig,
     NormTrace,
+    NumericError,
     Rng,
     SequenceSample,
     ShapeError,
@@ -118,6 +119,14 @@ class TestTraceDeltaNorms:
         t = rng.uniform_array(2)
         _, deltas = net.gradients(x[None], t[None])
         assert trace.norms[0] == l2_norm(deltas[0][0])
+
+    def test_nan_deltas_raise_numeric_error(self):
+        # the states reach 1e200 in 40 steps; the deltas start there and
+        # grow on the way back, overflow, and turn NaN in the products
+        net = build_srn(8, "linear", init="orthogonal", seed=14)
+        net.w_rec *= 1e5
+        with pytest.raises(NumericError, match="NaN delta norm"):
+            trace_delta_norms(net, (np.zeros((40, 2)), np.zeros(1)), repeats=2, rng=Rng(6))
 
     def test_dense_trace_runs_first_layer_first(self):
         net = orthogonal_oplu_net(depth=4, width=6, seed=13)
@@ -315,3 +324,7 @@ class TestNormTraceCsv:
     def test_negative_norm_rejected(self):
         with pytest.raises(ValueError):
             NormTrace([1.0, -2.0])
+
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            NormTrace([float("nan"), 1.0])

@@ -1,12 +1,15 @@
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from oplu_net import (
     Rng,
     ShapeError,
@@ -18,6 +21,7 @@ from oplu_net import (
     random_skew_symmetric,
     xavier_init,
 )
+from oplu_net import linalg
 from oplu_net.config import INIT_CHOICES
 from oplu_net.linalg import INIT_KINDS, init_weights
 from oplu_net.rng import UNIFORM_BLOCK
@@ -227,37 +231,182 @@ class TestL2Norm:
         tiny = np.array([5e-324, -2.5e-310, 1e-300])
         assert l2_norm(tiny) == scalar_norm(tiny)
 
-    def test_overflowing_square_is_inf_without_warning(self):
+    def test_overflowing_square_is_scaled_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert l2_norm(np.array([1e200, 1.0])) == math.inf
+            assert l2_norm(np.array([1e200, 1.0])) == 1e200
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_row_is_inf_only_beyond_the_float_range(self, values):
+        # the exact sum of squares as a Fraction: a finite norm is within a
+        # few units in the last place of its root, apart from the squares
+        # that underflow, and inf only when the root is within 2^-50 of
+        # the largest double or beyond it
+        norm = l2_norm(np.array(values))
+        exact = sum(Fraction(v) ** 2 for v in values)
+        if norm == math.inf:
+            assert exact >= (Fraction(sys.float_info.max) * (1 - Fraction(1, 2**50))) ** 2
+        else:
+            assert abs(Fraction(norm) ** 2 - exact) <= Fraction(8, 2**53) * exact + Fraction(len(values), 2**1074)
+
+
+def reference_norms(rows):
+    """An oracle for l2_norms that shares none of its code: the squares of
+    each last-axis row as Python float products, then one math.fsum."""
+    rows = np.asarray(rows)
+    rows = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
+    return [math.sqrt(math.fsum([v * v for v in row])) for row in rows.tolist()]
+
+
+def same_floats(a, b):
+    # repr tells -0.0 from 0.0 and makes every NaN equal to every other
+    return [repr(v) for v in a] == [repr(v) for v in b]
+
+
+def _ordinary(rng, shape):
+    return rng.uniform_array(math.prod(shape), -1, 1).reshape(shape)
+
+
+def _wide_exponents(rng, shape):
+    return _ordinary(rng, shape) * 10.0 ** rng.uniform_array(math.prod(shape), -150, 150).reshape(shape)
+
+
+def _subnormal_squares(rng, shape):
+    return _ordinary(rng, shape) * 10.0 ** rng.uniform_array(math.prod(shape), -170, -150).reshape(shape)
+
+
+def _near_the_top(rng, shape):
+    # squares up to 2^1022 / width: sums just below the overflow threshold
+    return _ordinary(rng, shape) * (2.0**511 / math.sqrt(max(shape[-1], 1)))
+
+
+def _signed_zeros(rng, shape):
+    x = _ordinary(rng, shape)
+    x[x < -0.3] = -0.0
+    x[x > 0.3] = 0.0
+    return x
+
+
+def _powers_of_two(rng, shape):
+    k = rng.randint_array(math.prod(shape), 120).reshape(shape) - 60
+    return np.ldexp(np.sign(_ordinary(rng, shape)), k)
+
+
+def _binary_tails(rng, shape):
+    # a head of 1 and tails on a 2^-80 grid: sums near the midpoints of 1
+    x = np.ldexp(rng.randint_array(math.prod(shape), 2**21).reshape(shape) - 2.0**20, -80)
+    x[..., :1] = 1.0
+    return x
+
+
+def _non_finite(rng, shape):
+    x = _ordinary(rng, shape)
+    if shape[-1]:
+        x[0::3, 0] = np.inf
+        x[1::3, -1] = -np.inf
+        x[2::3, shape[-1] // 2] = np.nan
+    return x
+
+
+FAMILIES = [_ordinary, _wide_exponents, _subnormal_squares, _near_the_top, _signed_zeros, _powers_of_two,
+            _binary_tails, _non_finite]
+
+# x*x rounds to an even double m, and sqrt(m) and sqrt(m + ulp(m)) differ:
+# the squares of [X, 2^-27, 2^-27] sum to the midpoint m + ulp(m)/2, which
+# rounds to m, and 2^-80 more makes the sum round up to m + ulp(m)
+MIDPOINT_HEAD = float.fromhex("0x1.0af4397524d6bp+0")
 
 
 class TestL2Norms:
     def test_each_row_equals_l2_norm(self):
         rng = Rng(41)
         rows = rng.uniform_array(4 * 5 * 7, -3, 3).reshape(4, 5, 7)
-        rows[0, 0, :2] = 1e200, -1e200  # squares overflow to inf
+        rows[0, 0, :2] = 1e200, -1e200  # squares overflow: the row is scaled
         rows[1, 2] = [5e-324, -2.5e-310, 1e-300, 0.0, -0.0, 0.0, 1e-160]
         rows[2, 3] = 1e150
         norms = l2_norms(rows)
-        assert norms[0] == math.inf
+        assert norms[0] == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
         assert norms == [l2_norm(row) for row in rows.reshape(-1, 7)]
 
     def test_list_of_arrays_runs_over_each_arrays_rows_in_turn(self):
         rng = Rng(42)
         blocks = [rng.uniform_array(3 * 4, -1, 1).reshape(3, 4), rng.uniform_array(6, -1, 1),
                   np.zeros((2, 0)), np.array(-2.5), [1e200, 3.0]]
-        expected = [l2_norm(row) for row in blocks[0]] + [l2_norm(blocks[1]), 0.0, 0.0, 2.5, math.inf]
+        expected = [l2_norm(row) for row in blocks[0]] + [l2_norm(blocks[1]), 0.0, 0.0, 2.5, 1e200]
         assert l2_norms(blocks) == expected
 
     def test_no_rows(self):
         assert l2_norms(np.zeros((0, 5))) == []
 
-    def test_overflow_is_inf_without_warning(self):
+    def test_overflow_is_scaled_without_warning(self):
+        rows = [[1e200, 1.0], [3.0, 4.0], np.full(7, 1e154), [1e308, 1e308], [1.5e308, 1.5e308]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert l2_norms(np.array([[1e200, 1.0], [3.0, 4.0]])) == [math.inf, 5.0]
+            norms = l2_norms(rows)
+        assert norms[:2] == [1e200, 5.0]
+        assert norms[2] == pytest.approx(math.sqrt(7) * 1e154, rel=1e-15)
+        assert norms[3] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+        assert norms[4] == math.inf
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__.strip("_"))
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 7, 33, 64, 100])
+    def test_bit_equal_to_the_fsum_reference(self, family, width):
+        rows = family(Rng(43 + width), (40, width))
+        assert same_floats(l2_norms(rows), reference_norms(rows))
+
+    def test_zero_d_arrays_and_mixed_shapes(self):
+        rng = Rng(44)
+        blocks = [np.array(-0.0), _wide_exponents(rng, (3, 5)), np.zeros((0, 4)), _ordinary(rng, (2, 3, 5)),
+                  np.array(7.5), [0.25, -1.0], _binary_tails(rng, (4, 3)), np.zeros((2, 0))]
+        expected = [0.0]
+        for b in blocks[1:]:
+            expected += reference_norms(np.reshape(b, (-1,)) if np.ndim(b) == 0 else b)
+        assert same_floats(l2_norms(blocks), expected)
+
+    def test_rows_on_and_beside_a_midpoint_take_the_fallback(self, monkeypatch):
+        # in a block of 64-wide rows, where ordinary data does not fall back
+        t = 2.0**-27
+        rows = _ordinary(Rng(45), (64, 64))
+        rows[:4] = 0.0
+        rows[:4, :4] = [[1.0, t, t, 0.0], [1.0, t, t, 2.0**-80],
+                        [MIDPOINT_HEAD, t, t, 0.0], [MIDPOINT_HEAD, t, t, 2.0**-80]]
+        fsums = count_calls(monkeypatch, linalg.math, "fsum")
+        norms = l2_norms(rows)
+        assert len(fsums) == 4
+        assert norms == reference_norms(rows)
+        assert norms[2] == MIDPOINT_HEAD < norms[3]  # the tie rounds down, the row beside it up
+
+    def test_rows_whose_remainders_round_across_a_boundary_take_the_fallback(self, monkeypatch):
+        # Each row's float sum of remainders rounds to the other side of a
+        # rounding boundary of its exact sum. In the first, the three c^2
+        # are lost, so the computed sum lies 2^-104 below a midpoint and the
+        # exact one above it: only the slack sends it to the fallback. In
+        # the second, the computed sum is the midpoint just below 1, where
+        # the gap below is half the gap above, and the exact sum lies under
+        # it. Both norms come out one unit in the last place off on the fast
+        # path.
+        c = 1.4895204919483638e-16  # c^2 = 0.9 * 2^-105 to within rounding
+        rows = [[float.fromhex("0x1.2f4d450d7d140p+0"), 2.0**-27, 2.0**-27 - 2.0**-78, c, c, c],
+                [1 - 2.0**-53, 2.0**-27, 2.0**-27, float.fromhex("0x1.7bb598c88b4adp-54"), 2.0**-27 - 2.0**-80]]
+        fsums = count_calls(monkeypatch, linalg.math, "fsum")
+        norms = l2_norms(rows)
+        assert len(fsums) == 2
+        assert norms == [reference_norms([row])[0] for row in rows] == [1.1847727926188585, 1 - 2.0**-53]
+
+    def test_permutation_never_moves_a_norm_on_the_fast_path(self, monkeypatch):
+        rng = Rng(46)
+        for family in (_ordinary, _wide_exponents, _powers_of_two):
+            rows = family(rng, (50, 33))
+            rows[:2] = [[0.0], [-0.0]]  # a row of zeros is exact
+            shuffled = rows.copy()
+            for row in shuffled:
+                order = list(range(len(row)))
+                rng.shuffle(order)
+                row[:] = row[order]
+            fsums = count_calls(monkeypatch, linalg.math, "fsum")
+            assert l2_norms(shuffled) == l2_norms(rows)
+            assert fsums == []
 
 
 class TestRng:

@@ -1,10 +1,9 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import build_srn, smooth_srn_sample
+from conftest import build_srn, count_calls, smooth_srn_sample
 from oplu_net import (
     BpttConfig,
     DenseLayer,
@@ -418,27 +417,10 @@ class TestStepOracle:
         assert loss == ref_loss
 
 
-def count_calls(monkeypatch, module, name):
-    """A list that gains one entry per call to module.name, through every
-    binding of that function in the package's modules."""
-    fn = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "oplu_net" or mod_name.startswith("oplu_net."):
-            for key, obj in list(vars(mod).items()):
-                if obj is fn:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
-
-
 class TestCallCounts:
     """Guards the cost of a step: the activation Jacobians of all unrolled
-    steps come from one call, and a trace pass takes its norms in one."""
+    steps come from one call, and a trace pass takes its norms in one,
+    whose rows of ordinary data never reach math.fsum."""
 
     @pytest.mark.parametrize("activation", ["oplu", "tanh"])
     def test_one_factor_call_and_one_apply_per_unrolled_step(self, monkeypatch, activation):
@@ -467,3 +449,20 @@ class TestCallCounts:
         trace_delta_norms(net, SequenceSample(np.zeros((steps, 2)), np.zeros(1)), 7, Rng(40))
         assert len(batched) == 3
         assert single == []
+
+    def test_a_grad_diag_trace_pass_makes_no_fsum_call(self, monkeypatch):
+        # grad-diag's shape: hidden 100 and 100 steps, 4 repeats to a pass
+        fsums = count_calls(monkeypatch, linalg.math, "fsum")
+        net = build_srn(100, "oplu", init="orthogonal", seed=18)
+        trace = trace_delta_norms(net, SequenceSample(np.zeros((100, 2)), np.zeros(1)), 4, Rng(41))
+        assert len(trace.norms) == 100
+        assert fsums == []
+
+    def test_a_midpoint_row_makes_one_fsum_call(self, monkeypatch):
+        # its squares sum to 1 + 2^-53, the midpoint between 1 and the next double
+        rows = Rng(42).uniform_array(400 * 100, -1e-3, 1e-3).reshape(400, 100)
+        rows[123] = 0.0
+        rows[123, :3] = 1.0, 2.0**-27, 2.0**-27
+        fsums = count_calls(monkeypatch, linalg.math, "fsum")
+        assert linalg.l2_norms(rows)[123] == 1.0
+        assert len(fsums) == 1
