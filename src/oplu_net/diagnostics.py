@@ -8,16 +8,17 @@ they travel through layers or timesteps.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .activations import activation_jacobian
 from .errors import NumericError, ShapeError
-from .linalg import l2_norms
 from .network import DenseNet, loss_value, random_target
 from .rng import Rng
 
-# Tape memory that one pass of trace_delta_norms may hold, in bytes.
+# Memory that one pass of trace_delta_norms may hold, in bytes: the rows
+# of a pass times the bytes per row that the model's delta_norms keeps.
 TRACE_TAPE_BYTES = 1 << 20
 
 
@@ -126,39 +127,36 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     input uniform in [0, 1] and a fresh random target. Trace entries run
     oldest step (or first layer) to newest.
 
-    The repeats run through the batched backward pass in passes of as many
-    rows as fit in TRACE_TAPE_BYTES of tape, so peak memory stays the same
-    however many repeats are asked for. Each repeat still draws its inputs
-    and then its target from rng, and its norms join the sum in repeat
-    order, so the random stream is the same for any pass size; only the
-    matrix products, whose summation order depends on the number of rows
-    in a pass, can move the trace in the last bits. A pass takes the norms
-    of all its stages and rows in one l2_norms call, each exactly as
-    l2_norm gives it. A NaN norm, from deltas that overflow on their way
-    back through the steps or layers, raises NumericError.
+    The repeats run through the model's delta_norms in passes of as many
+    rows as fit in TRACE_TAPE_BYTES at the bytes per row that the model
+    reports, so peak memory stays the same however many repeats are asked
+    for. Past four rows a pass takes a multiple of four: a BLAS
+    matrix-vector kernel, such as OpenBLAS's behind a one-unit readout, may
+    take rows in blocks of four and a partial block apart, so a row's last
+    bits can depend on its place in a pass modulo four. Each repeat still
+    draws its inputs and then its target from rng, and its norms join the
+    sum in repeat order, so the random stream is the same for any pass
+    size; only the matrix products, whose summation order may depend on the
+    rows in a pass, can move the trace in the last bits. Each norm is
+    exactly as l2_norm gives it. A NaN norm, from deltas that overflow on
+    their way back through the steps or layers, raises NumericError.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     x, _ = sample
     shape = np.shape(x)
-    # a row's tape holds presynaptic values, activations and deltas, as many
-    # of each as the presynaptic tape of a one-row forward pass. The backward
-    # factors of a recurrent pass are left out: a scalar kind's derivatives
-    # add one more tape-sized array, a pairing's swap masks one byte per
-    # pair. The rows per pass set the GEMM shapes, and so the trace's bits.
-    sizes = [np.size(a) for a in model.forward(np.zeros((1,) + shape))[1].presyn]
-    rows = max(1, TRACE_TAPE_BYTES // (3 * 8 * sum(sizes)))
-    total = np.zeros(len(sizes))
+    rows = max(1, TRACE_TAPE_BYTES // model.delta_norms_row_bytes(shape))
+    rows = min(repeats, rows if rows < 4 else rows - rows % 4)
+    inputs = np.empty((rows,) + shape)
+    targets = np.empty((rows, model.output_dim))
+    total = 0.0
     for start in range(0, repeats, rows):
-        draws = [(rng.uniform_array(np.size(x)).reshape(shape),
-                  random_target(model.loss, model.output_dim, rng))
-                 for _ in range(min(rows, repeats - start))]
-        inputs, targets = zip(*draws)
-        stages = model.gradients(np.stack(inputs), np.stack(targets))[1]  # per timestep or layer
-        # every stage's rows in one call: stage k of repeat i at [k, i]
-        norms = np.reshape(l2_norms(stages), (len(stages), -1))
-        for i in range(len(inputs)):
-            total += norms[:, i]
+        count = min(rows, repeats - start)
+        for i in range(count):
+            inputs[i] = rng.uniform_array(inputs[i].size).reshape(shape)
+            targets[i] = random_target(model.loss, model.output_dim, rng)
+        # stage k of repeat i at [k, i]: the columns join the sum in repeat order
+        total = reduce(np.add, model.delta_norms(inputs[:count], targets[:count]).T, total)
     if np.isnan(total).any():
         raise NumericError(f"NaN delta norm at trace step {int(np.argmax(np.isnan(total))) + 1}")
     return NormTrace([float(v) for v in total / repeats])

@@ -10,8 +10,9 @@ Rows are samples. The forward and backward passes are written once, for a
 batch of rows, so training touches dgemm instead of dgemv; one sample is a
 batch of one, and gradients are tensor lists in named_parameters order.
 DenseNet and Srn share one model interface (loss, forward, gradients,
-kink_gap), so the diagnostics handle either model the same way. Only this
-module knows the losses; Srn scores its final step through them too.
+delta_norms, delta_norms_row_bytes, kink_gap), so the diagnostics handle
+either model the same way. Only this module knows the losses; Srn scores
+its final step through them too.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
-from .linalg import init_weights
+from .linalg import init_weights, l2_norms
 from .rng import Rng
 
 LOSS_KINDS = ("mse", "softmax_xent")
@@ -100,6 +101,17 @@ class DenseNet:
         every layer, first layer first."""
         y, tape = _forward_batch(self, rows)
         return _backprop_batch(self, tape, output_delta(self.loss, y, targets))
+
+    def delta_norms(self, rows, targets) -> np.ndarray:
+        """The L2 norm of every layer's delta for every row, first layer
+        first: norms[n, i] is that of row i at layer n."""
+        deltas = self.gradients(rows, targets)[1]
+        return np.reshape(l2_norms(deltas), (len(deltas), -1))
+
+    def delta_norms_row_bytes(self, shape) -> int:
+        """Bytes that delta_norms holds per input row: the presynaptic
+        values, activations and deltas of every layer."""
+        return 3 * 8 * sum(layer.fan_out for layer in self.layers)
 
     def kink_gap(self, tape) -> float:
         return min(kink_gap(layer.activation, a) for layer, a in zip(self.layers, tape.presyn))

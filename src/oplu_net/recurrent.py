@@ -11,7 +11,8 @@ gradients neither vanish nor explode no matter how far back they travel.
 The forward pass and BPTT are written once, for a batch of sequences that
 share their length; srn_forward and bptt run one sequence as a batch of
 one, and gradients are tensor lists in named_parameters order. Srn shares
-DenseNet's model interface (loss, forward, gradients, kink_gap).
+DenseNet's model interface (loss, forward, gradients, delta_norms,
+delta_norms_row_bytes, kink_gap).
 """
 
 from dataclasses import dataclass
@@ -93,6 +94,40 @@ class Srn:
         rows = _as_batch(self, rows)
         grads, _, deltas = _bptt_batch(self, rows, targets, rows.shape[1])
         return grads, deltas
+
+    def delta_norms(self, rows, targets) -> np.ndarray:
+        """The L2 norm of every step's hidden delta for every row, oldest
+        step first: norms[k, i] is that of row i at step k, bit for bit the
+        l2_norms of the deltas that gradients returns.
+
+        The forward pass keeps only each step's backward factor, and the
+        delta recursion, newest step first, only the current delta.
+        """
+        factors = []
+        y = _srn_predict_batch(self, rows, factors)
+        residual = output_delta(self.loss, y, targets)
+        norms = np.empty((len(factors), len(y)))
+        delta = np.empty((len(y), self.hidden_dim))
+        w_rec_t = np.ascontiguousarray(self.w_rec.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta_hat = residual @ self.w_out.T
+            for k in range(len(factors) - 1, -1, -1):
+                apply_backward(self.hidden_activation, delta_hat, factors[k], out=delta)
+                norms[k] = l2_norms(delta)
+                if k:
+                    np.matmul(delta, w_rec_t, out=delta_hat)
+        return norms
+
+    def delta_norms_row_bytes(self, shape) -> int:
+        """Bytes that delta_norms holds per row of inputs shaped (T,
+        input_dim): the row's inputs, and its backward factor and delta
+        norm at every step, plus four hidden-width rows to work in (the
+        delta, the next step's delta_hat, and the squares and remainders
+        that l2_norms takes of the delta)."""
+        steps, width = shape
+        zeros = np.zeros((1, self.hidden_dim))
+        factor = backward_factor(self.hidden_activation, zeros, zeros).nbytes
+        return steps * (8 * width + factor + 8) + 4 * 8 * self.hidden_dim
 
     def kink_gap(self, tape) -> float:
         return kink_gap(self.hidden_activation, tape.presyn)
@@ -228,11 +263,18 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     return grads, l2_norms(deltas[:, 0])
 
 
-def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
+def _srn_predict_batch(net: Srn, inputs: np.ndarray, factors=None) -> np.ndarray:
     """The outputs of _srn_forward_batch, computed without keeping its tape:
-    each step's hidden state overwrites the last."""
+    each step's hidden state overwrites the last. A non-finite hidden state
+    or readout raises NumericError as it does there.
+
+    When `factors` is a list, each step's backward_factor (a swap mask for
+    a pairing, the derivative for a scalar kind) is appended to it, oldest
+    step first: all that the delta recursion needs of the forward pass.
+    """
     inputs = _as_batch(net, inputs)
     batch, steps = inputs.shape[0], inputs.shape[1]
+    kind = net.hidden_activation
     a = np.empty((batch, net.hidden_dim))
     recurrent = np.empty((batch, net.hidden_dim))
     h = np.empty((batch, net.hidden_dim))
@@ -244,10 +286,14 @@ def _srn_predict_batch(net: Srn, inputs: np.ndarray) -> np.ndarray:
             a += net.b_h
             a += np.matmul(h, net.w_rec, out=recurrent)
             finite[t] = np.isfinite(a).all()
-            activate(net.hidden_activation, a, out=h)
+            activate(kind, a, out=h)
+            if factors is not None:
+                factors.append(backward_factor(kind, a, h))
         y = h @ net.w_out + net.b_out
     if not finite.all():
         raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
+    if not np.isfinite(y).all():
+        raise NumericError("non-finite readout after the last timestep")
     return y
 
 

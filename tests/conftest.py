@@ -22,6 +22,13 @@ def build_srn(hidden, activation, init="xavier", seed=0, input_dim=2, output_dim
     return init_srn(input_dim, hidden, output_dim, activation, init, Rng(seed))
 
 
+def srn_row_bytes(steps, hidden, factor):
+    """What an SRN's delta_norms holds per row of (steps, 2) inputs: the
+    inputs, a `factor`-byte backward factor and a norm a step, and four
+    hidden-width working rows."""
+    return steps * (2 * 8 + factor + 8) + 4 * hidden * 8
+
+
 def smooth_mlp_sample(net, seed=0, gap=1e-3):
     """Random (x, target) pair whose forward pass avoids activation kinks."""
     rng = Rng(seed)

@@ -382,6 +382,14 @@ class TestMainExitCodes:
         assert "config error" in err and f"{key} must be finite" in err
         assert os.listdir(tmp_path) == []
 
+    def test_grad_diag_nan_delta_norm_exits_3(self, tmp_path, capsys):
+        # linear units with Xavier weights: the deltas overflow on their way
+        # back through 14,000 steps
+        assert main(["grad-diag", "--activation", "linear", "--init", "xavier",
+                     "--horizon", "14000", "--repeats", "1", "--out_dir", str(tmp_path)]) == 3
+        assert "NaN delta norm" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -1,11 +1,22 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import build_mlp, build_srn, orthogonal_oplu_net, smooth_mlp_sample, smooth_srn_sample
+from conftest import (
+    build_mlp,
+    build_srn,
+    orthogonal_oplu_net,
+    smooth_mlp_sample,
+    smooth_srn_sample,
+    srn_row_bytes,
+)
 from oplu_net import (
     BpttConfig,
     NormTrace,
     NumericError,
+    PairingScheme,
     Rng,
     SequenceSample,
     ShapeError,
@@ -13,6 +24,7 @@ from oplu_net import (
     finite_diff_grad,
     init_dense,
     l2_norm,
+    l2_norms,
     min_nonsmooth_gap,
     trace_delta_norms,
     write_norm_trace_csv,
@@ -162,15 +174,15 @@ class TestSampleForms:
 
 
 def _spy_batches(monkeypatch, net):
-    """Record the row count of every call to net.gradients(rows, targets)."""
+    """Record the row count of every call to net.delta_norms(rows, targets)."""
     calls = []
-    real = type(net).gradients
+    real = type(net).delta_norms
 
     def spy(net, rows, *args):
         calls.append(len(rows))
         return real(net, rows, *args)
 
-    monkeypatch.setattr(type(net), "gradients", spy)
+    monkeypatch.setattr(type(net), "delta_norms", spy)
     return calls
 
 
@@ -187,7 +199,9 @@ class TestBatchedTraceReplay:
     def test_srn_matches_per_sequence_bptt(self, monkeypatch, repeats, passes):
         steps, hidden = 6, 8
         net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
-        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * steps * hidden * 8))
+        # a swap mask of one byte a pair
+        budget = 3 * srn_row_bytes(steps, hidden, hidden // 2)
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", budget)
         calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((steps, 2)), np.zeros(1))
         rng = Rng(40)
@@ -211,7 +225,8 @@ class TestBatchedTraceReplay:
         # one repeat at a time as l2_norm gives them
         if model == "srn":
             net, template = build_srn(8, "tanh", seed=19), (np.zeros((6, 2)), np.zeros(1))
-            monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * 6 * 8 * 8))
+            # a derivative of one float64 a unit
+            monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * srn_row_bytes(6, 8, 8 * 8))
         else:
             net, template = build_mlp([5, 6, 4], "oplu", seed=19), (np.zeros(5), np.zeros(4))
             monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * (6 + 4) * 8))
@@ -255,12 +270,105 @@ class TestBatchedTraceReplay:
         assert rng.next_u64() == replay.next_u64()
 
     def test_pass_size_at_grad_diag_scale(self, monkeypatch):
-        # 100 steps of 100 hidden units keep 240,000 tape bytes a row
+        # 100 steps of 100 hidden units hold 10,600 bytes a row: 98 rows
+        # fit, and a pass takes a multiple of four of them
         net = build_srn(100, "oplu", init="orthogonal", seed=19)
+        assert net.delta_norms_row_bytes((100, 2)) == srn_row_bytes(100, 100, 50) == 10_600
         calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((100, 2)), np.zeros(1))
         trace_delta_norms(net, template, 9, Rng(42))
-        assert calls == [4, 4, 1]
+        assert calls == [9]
+        calls.clear()
+        trace_delta_norms(net, template, 100, Rng(42))
+        assert calls == [96, 4]
+
+
+def oracle_model(model, activation):
+    """An SRN or a dense net with 8-unit hidden layers of `activation`;
+    "oplu-gathered" pairs the units in a shuffled order, which takes the
+    gathered kernels."""
+    name = "oplu" if activation.startswith("oplu") else activation
+    init = "orthogonal" if name == "oplu" else "xavier"
+    rng = Rng(50)
+    if model == "srn":
+        net = build_srn(8, name, init=init, seed=51)
+        net.b_h[...] = rng.uniform_array(8, -0.5, 0.5)
+        net.h0[...] = rng.uniform_array(8, -1, 1)
+    else:
+        net = build_mlp([5, 8, 8, 3], name, init=init, seed=51)
+    if activation == "oplu-gathered":
+        order = list(range(8))
+        rng.shuffle(order)
+        scheme = PairingScheme(zip(order[0::2], order[1::2]))
+        if model == "srn":
+            net = dataclasses.replace(net, hidden_activation=scheme)
+        else:
+            for layer in net.layers[:-1]:
+                layer.activation = scheme
+    return net
+
+
+def norms_of_gradient_deltas(net, inputs, targets):
+    """l2_norms of the deltas that net.gradients returns, stage-major."""
+    deltas = net.gradients(inputs, targets)[1]
+    return np.reshape(l2_norms(deltas), (len(deltas), len(inputs)))
+
+
+class TestDeltaNormsOracle:
+    """A model's delta_norms against l2_norms of its gradients' deltas, bit
+    for bit: stage k of row i at [k, i]."""
+
+    @pytest.mark.parametrize("rows", [1, 6, 8])
+    @pytest.mark.parametrize("activation",
+                             ["oplu", "oplu-gathered", "tanh", "relu", "sigmoid", "linear"])
+    @pytest.mark.parametrize("model", ["srn", "dense"])
+    def test_equals_norms_of_gradient_deltas(self, model, activation, rows):
+        net = oracle_model(model, activation)
+        rng = Rng(52)
+        shape = (rows, 7, 2) if model == "srn" else (rows, 5)
+        inputs = rng.uniform_array(int(np.prod(shape)), -1, 1).reshape(shape)
+        targets = rng.uniform_array(rows * net.output_dim).reshape(rows, net.output_dim)
+        norms = net.delta_norms(inputs, targets)
+        expected = norms_of_gradient_deltas(net, inputs, targets)
+        assert norms.shape == expected.shape == (7 if model == "srn" else 3, rows)
+        assert norms.tobytes() == expected.tobytes()
+
+    def test_overflowing_deltas_give_the_same_nans(self):
+        # the states reach 1e200 in 40 steps and the deltas overflow on the way back
+        net = build_srn(8, "linear", init="orthogonal", seed=14)
+        net.w_rec *= 1e5
+        rng = Rng(6)
+        inputs = rng.uniform_array(3 * 40 * 2).reshape(3, 40, 2)
+        targets = rng.uniform_array(3).reshape(3, 1)
+        norms = net.delta_norms(inputs, targets)
+        assert np.isnan(norms).any()
+        assert norms.tobytes() == norms_of_gradient_deltas(net, inputs, targets).tobytes()
+
+
+class TestTraceMemory:
+    """At grad-diag's shape the trace's peak memory is set by
+    TRACE_TAPE_BYTES, not by the repeats. A trace through gradients, whose
+    tape holds every step's presynaptic values, hidden states and deltas,
+    peaked here at 1.51 MiB with the pairwise unit and 1.94 MiB with tanh."""
+
+    @staticmethod
+    def peak_bytes(net, repeats):
+        tracemalloc.start()
+        try:
+            trace_delta_norms(net, (np.zeros((100, 2)), np.zeros(1)), repeats, Rng(61))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_oplu_peak_does_not_grow_with_repeats(self):
+        net = build_srn(100, "oplu", init="orthogonal", seed=60)
+        peak_100, peak_1000 = self.peak_bytes(net, 100), self.peak_bytes(net, 1000)
+        assert peak_1000 <= 1.1 * peak_100
+        assert max(peak_100, peak_1000) <= 1.51 * 2**20
+
+    def test_tanh_peak_stays_below_the_full_tape(self):
+        net = build_srn(100, "tanh", seed=60)
+        assert self.peak_bytes(net, 100) <= 1.94 * 2**20
 
 
 class TestJacobianAssembly:

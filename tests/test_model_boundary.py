@@ -1,7 +1,8 @@
 """Code outside the model modules handles "a model" through its interface.
 
-DenseNet and Srn share loss, forward, gradients, kink_gap and
-named_parameters, so no module asks which kind of model it holds. The
+DenseNet and Srn share loss, forward, gradients, delta_norms,
+delta_norms_row_bytes, kink_gap and named_parameters, so no module asks
+which kind of model it holds. The
 exception is checkpoint, whose per-kind header is the file format. The
 diagnostics certify the models through that interface alone, so they
 import no private name of network or recurrent.

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_srn, count_calls, smooth_srn_sample
+from conftest import build_srn, count_calls, smooth_srn_sample, srn_row_bytes
 from oplu_net import (
     BpttConfig,
     DenseLayer,
     DenseNet,
+    NumericError,
     PairingScheme,
     Rng,
     SequenceSample,
@@ -327,6 +328,15 @@ class TestEvaluateAdding:
         _, success = evaluate_adding(net, data, threshold=0.04)
         assert success <= 0.30
 
+    def test_non_finite_readout_raises(self):
+        # the bias saturates every tanh unit near +1, so the hidden states
+        # stay finite and only the readout, about 4e308, overflows
+        net = build_srn(4, "tanh", seed=4)
+        net.b_h[...] = 10.0
+        net.w_out[...] = 1e308
+        with pytest.raises(NumericError, match="non-finite readout"):
+            evaluate_adding(net, gen_adding(8, 3, Rng(9)), threshold=0.04)
+
     def test_empty_dataset_rejected(self):
         net = build_srn(4, "tanh")
         data = gen_adding(5, 3, Rng(0))
@@ -419,8 +429,8 @@ class TestStepOracle:
 
 class TestCallCounts:
     """Guards the cost of a step: the activation Jacobians of all unrolled
-    steps come from one call, and a trace pass takes its norms in one,
-    whose rows of ordinary data never reach math.fsum."""
+    steps come from one call, and a trace pass takes each step's norms in
+    one, whose rows of ordinary data never reach math.fsum."""
 
     @pytest.mark.parametrize("activation", ["oplu", "tanh"])
     def test_one_factor_call_and_one_apply_per_unrolled_step(self, monkeypatch, activation):
@@ -442,12 +452,14 @@ class TestCallCounts:
     def test_one_norm_call_per_trace_pass(self, monkeypatch):
         steps, hidden = 6, 8
         net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
-        # three rows a pass: 7 repeats take passes of 3, 3 and 1
-        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 3 * (3 * steps * hidden * 8))
+        # three rows a pass, with a swap mask of one byte a pair: 7 repeats
+        # take passes of 3, 3 and 1, and each pass one call a step
+        budget = 3 * srn_row_bytes(steps, hidden, hidden // 2)
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", budget)
         batched = count_calls(monkeypatch, linalg, "l2_norms")
         single = count_calls(monkeypatch, linalg, "l2_norm")
         trace_delta_norms(net, SequenceSample(np.zeros((steps, 2)), np.zeros(1)), 7, Rng(40))
-        assert len(batched) == 3
+        assert len(batched) == 3 * steps
         assert single == []
 
     def test_a_grad_diag_trace_pass_makes_no_fsum_call(self, monkeypatch):
