@@ -70,10 +70,6 @@ class MnistDataset:
         """(n, 784) float64 in [0, 1]."""
         return self.rows()[:]
 
-    def take(self, indices) -> "MnistDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return MnistDataset(self.pixels[idx], self.labels[idx])
-
     def one_hot_targets(self) -> np.ndarray:
         out = np.zeros((len(self), CLASSES))
         out[np.arange(len(self)), self.labels] = 1.0
@@ -86,20 +82,25 @@ class AddingDataset:
 
     `rows()` is the input source for training, evaluation and traces: it
     builds the (len, T, 2) float64 network input of only the rows it is
-    asked for. `inputs` is every row built, computed when read.
+    asked for. `inputs` is every row built, computed when read. A part
+    that `take` draws shares the set's values and markers and keeps its
+    own targets and `index`, its row numbers into them.
     """
 
-    values: np.ndarray  # (n, T) float64 in [0, 1)
-    markers: np.ndarray  # (n, T) bool, two marked steps per row
+    values: np.ndarray  # (N, T) float64 in [0, 1)
+    markers: np.ndarray  # (N, T) bool, two marked steps per row
     targets: np.ndarray  # (n, 1): sum of the two marked values
+    index: np.ndarray = None  # (n,) int64 rows of values and markers; None for all N
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.targets.shape[0]
 
     def rows(self, index) -> np.ndarray:
         """A fresh float64 array of the rows `index` (an int, a slice or a
         list of row numbers) takes: channel 0 the value, channel 1 the
         marker as 0.0 or 1.0."""
+        if self.index is not None:
+            index = self.index[index]
         values = self.values[index]
         out = np.empty(values.shape + (2,))
         out[..., 0] = values
@@ -112,8 +113,11 @@ class AddingDataset:
         return self.rows(slice(None))
 
     def take(self, indices) -> "AddingDataset":
+        """The rows `indices` lists, as a part that shares this set's values
+        and markers: only the targets and the row numbers are copied."""
         idx = np.asarray(indices, dtype=np.int64)
-        return AddingDataset(self.values[idx], self.markers[idx], self.targets[idx])
+        index = idx if self.index is None else self.index[idx]
+        return AddingDataset(self.values, self.markers, self.targets[idx], index)
 
 
 def _read_be32(buf: bytes, offset: int, what: str) -> int:
@@ -220,7 +224,12 @@ def gen_adding(seq_len: int, n: int, rng: Rng) -> AddingDataset:
 
 
 def split(dataset, train_n: int, valid_n: int, test_n: int, rng: Rng):
-    """Disjoint deterministic train/valid/test split by shuffled indices."""
+    """Disjoint deterministic train/valid/test split by shuffled indices.
+
+    dataset is an AddingDataset: image sets come split in their IDX files,
+    so MnistDataset has no take. The parts share the set's values and
+    markers through AddingDataset.take, so a split copies no sequence.
+    """
     total = train_n + valid_n + test_n
     if total > len(dataset):
         raise ValueError(f"split sizes sum to {total} but dataset has {len(dataset)} samples")

@@ -128,23 +128,31 @@ class ForwardTape:
     postsyn: list  # z per layer
 
 
-def _forward_batch(net: DenseNet, x_rows: np.ndarray):
-    """Run the network on a batch of input rows, returning output rows and tape."""
+def _forward_batch(net: DenseNet, x_rows: np.ndarray, work=None):
+    """Run the network on a batch of input rows, returning output rows and tape.
+
+    With `work`, two flat float64 buffers that each hold rows x the widest
+    layer, every layer's presynaptic values and activations overwrite the
+    last layer's in them and no tape is kept: the tape is None and the
+    output rows are a view of work[1].
+    """
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2 or x_rows.shape[1] != net.input_dim:
         raise ShapeError(f"batch shape {x_rows.shape} does not match input width {net.input_dim}")
     presyn, postsyn = [], []
     z = x_rows
     for idx, layer in enumerate(net.layers):
+        size, shape = x_rows.shape[0] * layer.fan_out, (x_rows.shape[0], layer.fan_out)
+        a, out = (None, None) if work is None else (w[:size].reshape(shape) for w in work)
         with np.errstate(over="ignore", invalid="ignore"):
-            a = z @ layer.w
+            a = np.matmul(z, layer.w, out=a)
             a += layer.b
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite presynaptic activation in layer {idx}")
-        z = activate(layer.activation, a)
+        z = activate(layer.activation, a, out=out)
         presyn.append(a)
         postsyn.append(z)
-    return z, ForwardTape(x_rows, presyn, postsyn)
+    return z, None if work else ForwardTape(x_rows, presyn, postsyn)
 
 
 def _backprop_batch(net: DenseNet, tape: ForwardTape, delta_out_rows: np.ndarray):
@@ -272,16 +280,19 @@ def evaluate(net: DenseNet, inputs, targets: np.ndarray) -> EpochStats:
     inputs is any source whose `[index]` gives float64 rows: an array, or
     an MnistDataset's `rows()`, which scales one chunk of byte pixels at a
     time. Each chunk of EVALUATE_CHUNK rows indexes it once and is done
-    with the rows before the next index.
+    with the rows before the next index. The forward pass keeps no tape:
+    every chunk's layers take turns in the same two buffers.
     """
     targets = _dataset_targets(inputs, targets)
     n, chunk = len(inputs), EVALUATE_CHUNK
+    size = min(n, chunk) * max(layer.fan_out for layer in net.layers)
+    work = (np.empty(size), np.empty(size))
     total_loss = 0.0
     correct = 0
     for start in range(0, n, chunk):
         x = inputs[start:start + chunk]
         t = targets[start:start + chunk]
-        y, _ = _forward_batch(net, x)
+        y, _ = _forward_batch(net, x, work)
         total_loss += float(loss_rows(net.loss, y, t).sum())
         correct += int((y.argmax(axis=1) == t.argmax(axis=1)).sum())
     return EpochStats(total_loss / n, correct / n)

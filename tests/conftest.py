@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -62,12 +63,13 @@ def orthogonal_oplu_net(depth, width, seed=0, loss="mse"):
     return DenseNet(layers, loss)
 
 
-def count_calls(monkeypatch, module, name):
-    """A list that gains one entry per call to module.name, through module
-    (math.fsum as linalg calls it, say) and through every binding of that
-    function in the package's modules."""
+def count_calls(monkeypatch, module, name, calls=None):
+    """A list that gains one entry, the name, per call to module.name,
+    through module (math.fsum as linalg calls it, say) and through every
+    binding of that function in the package's modules. Pass one `calls`
+    list to several spies to see the order of their calls."""
     fn = getattr(module, name)
-    calls = []
+    calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         calls.append(name)
@@ -80,3 +82,15 @@ def count_calls(monkeypatch, module, name):
                 if obj is fn:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw allocated while it
+    ran; what was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

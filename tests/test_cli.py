@@ -1,11 +1,12 @@
 import os
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import count_calls, traced_peak
 from oplu_net import Rng, gen_image_classes, load_checkpoint, write_idx_images, write_idx_labels
+from oplu_net import datasets, linalg
 from oplu_net.cli import main, run_adding, run_grad_diag, run_mnist
 from oplu_net.config import ConfigError, format_config, load_config
 
@@ -109,12 +110,7 @@ class TestConfig:
 
     def test_wide_oplu_hidden_is_checked_without_building_the_pairing(self):
         # the adjacent pairing of 400,000 units takes tens of MiB to build
-        tracemalloc.start()
-        try:
-            cfg = load_config("grad-diag", overrides={"hidden": "400000"})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        cfg, peak = traced_peak(lambda: load_config("grad-diag", overrides={"hidden": "400000"}))
         assert cfg["hidden"] == 400000
         assert peak <= 1 << 20
 
@@ -328,6 +324,19 @@ class TestRunMnist:
         assert len(report.final_test_accuracies) == 2
         assert report.best == max(report.final_test_accuracies)
         assert abs(report.mean - np.mean(report.final_test_accuracies)) < 1e-12
+
+    def test_first_weights_are_drawn_before_the_images_are_read(self, tmp_path, monkeypatch):
+        # so the scratch of the orthogonal init's expm (one per layer) is
+        # freed before the image sets take their memory
+        data_dir = tmp_path / "data"
+        write_image_fixture(data_dir, n_train=40, n_test=20)
+        calls = []
+        count_calls(monkeypatch, linalg, "expm", calls)
+        count_calls(monkeypatch, datasets, "load_mnist_idx", calls)
+        run_mnist(load_config("mnist", overrides={
+            **MNIST_SMOKE, "init": "orthogonal", "repeats": "2", "data_dir": str(data_dir),
+            "out_dir": str(tmp_path / "out")}))
+        assert calls == ["expm"] * 3 + ["load_mnist_idx"] * 2 + ["expm"] * 3
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e3", "1e8"])

@@ -1,12 +1,13 @@
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from oplu_net import (
+    AddingDataset,
     MnistDataset,
     ParseError,
     Rng,
@@ -87,12 +88,7 @@ class TestGenAdding:
 
     def test_peaks_near_nine_bytes_per_step(self):
         n, seq_len = 20000, 30
-        tracemalloc.start()
-        try:
-            data = gen_adding(seq_len, n, Rng(8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(lambda: gen_adding(seq_len, n, Rng(8)))
         assert data.values.dtype == np.float64 and data.markers.dtype == bool
         # an 8-byte value and a 1-byte marker per step, plus uniform_array's
         # block temporaries
@@ -127,6 +123,34 @@ class TestSplit:
         data = gen_adding(5, 10, Rng(0))
         with pytest.raises(ValueError):
             split(data, 8, 2, 2, Rng(0))
+
+    @staticmethod
+    def copying_take(data, indices):
+        idx = np.asarray(indices, dtype=np.int64)
+        return AddingDataset(data.values[idx], data.markers[idx], data.targets[idx])
+
+    def test_parts_equal_copied_parts(self):
+        data = gen_adding(9, 40, Rng(11))
+        order = list(range(40))
+        Rng(12).shuffle(order)
+        parts = split(data, 25, 5, 10, Rng(12))
+        copies = [self.copying_take(data, ids) for ids in (order[:25], order[25:30], order[30:])]
+        # a part of a part goes through both index arrays
+        parts += (parts[0].take([7, 2, 7]),)
+        copies += [self.copying_take(copies[0], [7, 2, 7])]
+        for part, copy in zip(parts, copies):
+            assert len(part) == len(copy)
+            assert part.targets.tobytes() == copy.targets.tobytes()
+            assert part.inputs.tobytes() == copy.inputs.tobytes()
+            for index in (0, -1, slice(1, 3), slice(None, None, 2), [2, 0, 2]):
+                assert part.rows(index).tobytes() == copy.rows(index).tobytes()
+
+    def test_parts_share_one_copy_of_the_values(self):
+        data = gen_adding(30, 31_000, Rng(6))
+        assert data.values.nbytes == 7_440_000
+        parts, peak = traced_peak(lambda: split(data, 20_000, 1_000, 10_000, Rng(7)))
+        assert peak < 7_400_000
+        assert all(np.shares_memory(part.values, data.values) for part in parts)
 
 
 class TestIdxFiles:
@@ -176,12 +200,7 @@ class TestIdxFiles:
         pixels = (Rng(8).uniform_array(n * 784) * 256).astype(np.uint8).reshape(n, 784)
         write_idx_images(tmp_path / "imgs", pixels)
         write_idx_labels(tmp_path / "lbls", np.arange(n) % 10)
-        tracemalloc.start()
-        try:
-            ds = load_mnist_idx(tmp_path / "imgs", tmp_path / "lbls")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: load_mnist_idx(tmp_path / "imgs", tmp_path / "lbls"))
         assert ds.pixels.dtype == np.uint8 and np.array_equal(ds.pixels, pixels)
         assert peak <= 3 * pixels.size
 

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from conftest import (
     smooth_mlp_sample,
     smooth_srn_sample,
     srn_row_bytes,
+    traced_peak,
 )
 from oplu_net import (
     BpttConfig,
@@ -353,12 +353,8 @@ class TestTraceMemory:
 
     @staticmethod
     def peak_bytes(net, repeats):
-        tracemalloc.start()
-        try:
-            trace_delta_norms(net, (np.zeros((100, 2)), np.zeros(1)), repeats, Rng(61))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: trace_delta_norms(
+            net, (np.zeros((100, 2)), np.zeros(1)), repeats, Rng(61)))[1]
 
     def test_oplu_peak_does_not_grow_with_repeats(self):
         net = build_srn(100, "oplu", init="orthogonal", seed=60)

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, traced_peak
 from oplu_net import (
     Rng,
     ShapeError,
@@ -85,12 +84,7 @@ class TestExpm:
         # arrays is a hundredth of one, for Python objects
         n = 300
         s = random_skew_symmetric(n, math.pi, Rng(2))
-        tracemalloc.start()
-        try:
-            expm(s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: expm(s))
         assert peak <= 4.01 * n * n * 8
 
     def test_non_square_rejected(self):
@@ -444,12 +438,7 @@ class TestRng:
 
     def test_uniform_peak_is_output_plus_few_blocks(self):
         n = 10**6
-        tracemalloc.start()
-        try:
-            Rng(3).uniform_array(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: Rng(3).uniform_array(n))
         # the reused uint64 block and one block temporary are live at once
         assert peak <= 8 * n + 4 * 8 * UNIFORM_BLOCK
 
@@ -466,12 +455,7 @@ class TestRng:
 
     def test_uniform_peak_is_output_plus_two_blocks(self):
         n = 4 * UNIFORM_BLOCK
-        tracemalloc.start()
-        try:
-            Rng(3).uniform_array(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: Rng(3).uniform_array(n))
         # the output, the reused uint64 block and one block temporary
         assert peak <= 8 * n + 2 * 8 * UNIFORM_BLOCK + 16 * 1024
 

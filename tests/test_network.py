@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_mlp, orthogonal_oplu_net, smooth_mlp_sample
+from conftest import build_mlp, orthogonal_oplu_net, smooth_mlp_sample, traced_peak
 from oplu_net import (
     DenseLayer,
     DenseNet,
     NumericError,
+    PairingScheme,
     Rng,
     SgdMomentum,
     ShapeError,
@@ -316,6 +317,63 @@ class TestEvaluate:
         net = build_mlp([2, 2], "linear")
         with pytest.raises(ShapeError):
             evaluate(net, np.zeros((6, 2)), np.zeros((7, 2)))
+
+    @staticmethod
+    def taped_reference(net, inputs, targets):
+        """evaluate's mean loss and accuracy, summed chunk by chunk from the
+        outputs of _forward_batch with its tape."""
+        n, chunk = len(inputs), network.EVALUATE_CHUNK
+        total_loss, correct = 0.0, 0
+        for start in range(0, n, chunk):
+            y, _ = _forward_batch(net, inputs[start:start + chunk])
+            t = targets[start:start + chunk]
+            total_loss += float(loss_rows(net.loss, y, t).sum())
+            correct += int((y.argmax(axis=1) == t.argmax(axis=1)).sum())
+        return total_loss / n, correct / n
+
+    @pytest.mark.parametrize("loss", ["softmax_xent", "mse"])
+    @pytest.mark.parametrize("activation", ["oplu", "oplu-gathered", "relu", "tanh", "sigmoid",
+                                            "linear"])
+    def test_tape_free_pass_equals_taped_chunks(self, activation, loss):
+        # 2,500 rows: two whole chunks and a short one; the middle layer is
+        # the widest, so the first two layers use part of each buffer
+        net = build_mlp([16, 8, 12, 4], activation.split("-")[0], loss=loss, seed=6)
+        if activation == "oplu-gathered":
+            for layer, order in zip(net.layers[:2], ([5, 0, 7, 2, 1, 6, 3, 4],
+                                                     [11, 0, 9, 4, 1, 10, 3, 8, 5, 2, 7, 6])):
+                layer.activation = PairingScheme(zip(order[0::2], order[1::2]))
+        rng = Rng(21)
+        inputs = rng.uniform_array(2500 * 16, -2, 2).reshape(2500, 16)
+        targets = np.eye(4)[rng.randint_array(2500, 4)]
+        stats = evaluate(net, inputs, targets)
+        assert (stats.mean_loss, stats.accuracy) == self.taped_reference(net, inputs, targets)
+
+    def test_non_finite_presynaptic_value_names_the_layer(self):
+        # only the last, short chunk overflows, and only in layer 1
+        net = DenseNet(
+            [
+                DenseLayer(np.eye(2), np.zeros(2), "linear"),
+                DenseLayer(np.full((2, 2), 1e308), np.zeros(2), "linear"),
+            ],
+            "mse",
+        )
+        inputs = np.zeros((2500, 2))
+        inputs[2400] = 1.0
+        with pytest.raises(NumericError) as taped:
+            _forward_batch(net, inputs[2048:])
+        with pytest.raises(NumericError, match="layer 1") as tape_free:
+            evaluate(net, inputs, np.zeros((2500, 2)))
+        assert str(tape_free.value) == str(taped.value)
+
+    def test_peak_is_one_input_chunk_and_two_layer_buffers(self):
+        # the scaled pixels of one chunk, plus two chunk x 300 buffers that
+        # every layer of every chunk reuses; 2,500 rows end on a short chunk
+        ds = gen_image_classes(2500, Rng(5))
+        targets = ds.one_hot_targets()
+        net = build_mlp([784, 300, 300, 10], "oplu", loss="softmax_xent", seed=3)
+        _, peak = traced_peak(lambda: evaluate(net, ds.rows(), targets))
+        chunk = network.EVALUATE_CHUNK
+        assert peak <= chunk * 784 * 8 + 2 * chunk * 300 * 8 + (1 << 20)
 
 
 class TestBatchEquivalence:
