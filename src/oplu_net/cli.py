@@ -56,10 +56,13 @@ def run_mnist(cfg: dict) -> MnistReport:
     init = resolve_init("mnist", cfg)
     hidden = cfg["hidden"]
     widths = (784, hidden, hidden, 10)
-    # run 0's weights come before the images, so the scratch of an
-    # orthogonal init's expm is freed before the data is read
-    rng = Rng(cfg["seed"])
-    net = init_dense(widths, cfg["activation"], "softmax_xent", init, rng)
+    # every run's weights come before the images, so the scratch of an
+    # orthogonal init's expm is freed before the data is read; each run
+    # keeps its generator for its shuffles
+    runs = []
+    for run in range(cfg["repeats"]):
+        rng = Rng(cfg["seed"] + run)
+        runs.append((init_dense(widths, cfg["activation"], "softmax_xent", init, rng), rng))
     data_dir = resolve_data_dir(cfg)
 
     def locate(name):
@@ -81,12 +84,11 @@ def run_mnist(cfg: dict) -> MnistReport:
     initial_acc = None
     best_net = None
     best_acc = -1.0
-    for run in range(cfg["repeats"]):
-        if run:
-            rng = Rng(cfg["seed"] + run)
-            net = init_dense(widths, cfg["activation"], "softmax_xent", init, rng)
+    for run, (net, rng) in enumerate(runs):
         opt = SgdMomentum(cfg["alpha"], cfg["mu"])
-        test_acc = evaluate(net, test_rows, test_targets).accuracy
+        # a later run's untrained accuracy is read only if no epoch follows
+        if run == 0 or cfg["epochs"] == 0:
+            test_acc = evaluate(net, test_rows, test_targets).accuracy
         if run == 0:
             initial_acc = test_acc
         for epoch in range(1, cfg["epochs"] + 1):
@@ -139,7 +141,7 @@ def run_adding(cfg: dict) -> AddingReport:
 
     seq_len = cfg["seq_len"]
     total = cfg["train_n"] + cfg["valid_n"] + cfg["test_n"]
-    # the parts share the generated set's values and markers
+    # the parts share the generated set's stream and positions
     train, valid, test = split(gen_adding(seq_len, total, data_rng),
                                cfg["train_n"], cfg["valid_n"], cfg["test_n"], data_rng)
 

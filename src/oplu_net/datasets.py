@@ -7,8 +7,9 @@ generator for exercising the classification pipeline when no real image
 files are on disk.
 """
 
+import copy
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,19 +79,25 @@ class MnistDataset:
 
 @dataclass
 class AddingDataset:
-    """Adding-task sequences kept at 9 bytes per step.
+    """Adding-task sequences kept as the stream that drew their values and
+    the two marked steps of each.
 
-    `rows()` is the input source for training, evaluation and traces: it
-    builds the (len, T, 2) float64 network input of only the rows it is
-    asked for. `inputs` is every row built, computed when read. A part
-    that `take` draws shares the set's values and markers and keeps its
-    own targets and `index`, its row numbers into them.
+    Every value is one draw of `stream`, the generator as it stood before
+    the set's first value draw, and it is never advanced: row r, step t
+    holds the draw at offset r * seq_len + t. `rows()` is the input source
+    for training, evaluation and traces: it recomputes the (len, T, 2)
+    float64 network input of only the rows it is asked for, so a set's
+    memory does not grow with T. `inputs` is every row built, computed
+    when read. A part that `take` draws shares the set's stream and
+    positions and keeps its own targets and `index`, its row numbers into
+    them.
     """
 
-    values: np.ndarray  # (N, T) float64 in [0, 1)
-    markers: np.ndarray  # (N, T) bool, two marked steps per row
+    stream: Rng
+    seq_len: int
+    positions: np.ndarray  # (N, 2) int64: each row's marked steps, first half then second
     targets: np.ndarray  # (n, 1): sum of the two marked values
-    index: np.ndarray = None  # (n,) int64 rows of values and markers; None for all N
+    index: np.ndarray = None  # (n,) int64 rows of the set; None for all N
 
     def __len__(self) -> int:
         return self.targets.shape[0]
@@ -100,12 +107,18 @@ class AddingDataset:
         list of row numbers) takes: channel 0 the value, channel 1 the
         marker as 0.0 or 1.0."""
         if self.index is not None:
-            index = self.index[index]
-        values = self.values[index]
-        out = np.empty(values.shape + (2,))
+            picked = self.index[index]
+        elif isinstance(index, slice):
+            picked = np.arange(*index.indices(self.positions.shape[0]))
+        else:
+            picked = np.arange(self.positions.shape[0])[index]
+        rows = np.atleast_1d(picked)
+        offsets = np.multiply(rows, self.seq_len)[:, None] + np.arange(self.seq_len)
+        values = self.stream.uniform_at(offsets)
+        out = np.zeros(values.shape + (2,))
         out[..., 0] = values
-        out[..., 1] = self.markers[index]
-        return out
+        out[np.arange(rows.size)[:, None], self.positions[rows], 1] = 1.0
+        return out if picked.ndim else out[0]
 
     @property
     def inputs(self) -> np.ndarray:
@@ -113,11 +126,11 @@ class AddingDataset:
         return self.rows(slice(None))
 
     def take(self, indices) -> "AddingDataset":
-        """The rows `indices` lists, as a part that shares this set's values
-        and markers: only the targets and the row numbers are copied."""
+        """The rows `indices` lists, as a part that shares this set's stream
+        and positions: only the targets and the row numbers are copied."""
         idx = np.asarray(indices, dtype=np.int64)
         index = idx if self.index is None else self.index[idx]
-        return AddingDataset(self.values, self.markers, self.targets[idx], index)
+        return replace(self, targets=self.targets[idx], index=index)
 
 
 def _read_be32(buf: bytes, offset: int, what: str) -> int:
@@ -204,31 +217,36 @@ def gen_adding(seq_len: int, n: int, rng: Rng) -> AddingDataset:
     The values (input channel 0) are i.i.d. uniform in [0, 1); the markers
     (channel 1) flag two positions, one uniform in the first half [0, T//2)
     and one uniform in the second half [T//2, T). The target is the sum of
-    the two marked values. Draw order: all n*T values, then the n
-    first-half positions, then the n second-half positions.
+    the two marked values, first-half value first. Draw order: all n*T
+    values, row by row, then the n first-half positions, then the n
+    second-half positions. The values are stepped over, not computed: the
+    set keeps the stream as it stood before them and reads back only the
+    two marked draws of each row for its target, so generating a set takes
+    a few arrays of n, whatever T.
     """
     if seq_len < 2:
         raise ValueError(f"sequence length must be >= 2, got {seq_len}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     half = seq_len // 2
-    values = rng.uniform_array(n * seq_len).reshape(n, seq_len)
-    pos1 = rng.randint_array(n, half)
-    pos2 = half + rng.randint_array(n, seq_len - half)
-    markers = np.zeros((n, seq_len), dtype=bool)
-    rows = np.arange(n)
-    markers[rows, pos1] = True
-    markers[rows, pos2] = True
-    targets = (values[rows, pos1] + values[rows, pos2]).reshape(n, 1)
-    return AddingDataset(values, markers, targets)
+    stream = copy.copy(rng)
+    rng.skip(n * seq_len)
+    positions = np.empty((n, 2), dtype=np.int64)
+    positions[:, 0] = rng.randint_array(n, half)
+    positions[:, 1] = rng.randint_array(n, seq_len - half)
+    positions[:, 1] += half
+    starts = np.arange(0, n * seq_len, seq_len)
+    targets = stream.uniform_at(starts + positions[:, 0])
+    targets += stream.uniform_at(starts + positions[:, 1])
+    return AddingDataset(stream, seq_len, positions, targets.reshape(n, 1))
 
 
 def split(dataset, train_n: int, valid_n: int, test_n: int, rng: Rng):
     """Disjoint deterministic train/valid/test split by shuffled indices.
 
     dataset is an AddingDataset: image sets come split in their IDX files,
-    so MnistDataset has no take. The parts share the set's values and
-    markers through AddingDataset.take, so a split copies no sequence.
+    so MnistDataset has no take. The parts share the set's stream and
+    positions through AddingDataset.take, so a split copies no sequence.
     """
     total = train_n + valid_n + test_n
     if total > len(dataset):

@@ -3,12 +3,14 @@
 bench/spans.py keys its per-layer spans on "<module>.<qualname>" and
 bench/child.py marks set-up and evaluation by function name. A rename in
 the package that they do not follow makes a span silently read 0 or stops
-every benchmark run with a LookupError, so the names are pinned here. The
-harness files are imported as they are, and not changed.
+every benchmark run with a LookupError, so the names are pinned here, with
+the arguments and attributes its work counts read. The harness files are
+imported as they are, and not changed.
 """
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import oplu_net
+from oplu_net import Rng, gen_adding, init_srn, split
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,3 +55,19 @@ def test_marked_functions_are_found(command):
     modules = _package_modules()
     for name in child.MARKS[command]:
         assert child.find_function(modules, name).__name__ == name
+
+
+def test_adding_part_inputs_are_rows_by_steps_by_two():
+    # the evaluate_adding span reads the shape of its dataset's inputs
+    train, _, _ = split(gen_adding(7, 30, Rng(1)), 10, 5, 5, Rng(2))
+    assert train.inputs.shape == (10, 7, 2)
+    net = init_srn(2, 4, 1, "oplu", "orthogonal", Rng(3))
+    work = spans.WORK["recurrent.evaluate_adding"]((net, train), {}, None)
+    assert work["rows"] == 10
+
+
+def test_u64_block_takes_its_draw_count_first():
+    # the _u64_block span counts args[1] draws per call
+    assert list(inspect.signature(Rng._u64_block).parameters)[:2] == ["self", "n"]
+    rng = Rng(4)
+    assert spans.WORK["rng.Rng._u64_block"]((rng, 5), {}, rng._u64_block(5)) == {"draws": 5}

@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, traced_peak
-from oplu_net import Rng, gen_image_classes, load_checkpoint, write_idx_images, write_idx_labels
+from oplu_net import (
+    Rng,
+    SgdMomentum,
+    evaluate,
+    gen_image_classes,
+    init_dense,
+    load_checkpoint,
+    load_mnist_idx,
+    save_checkpoint,
+    train_epoch,
+    write_idx_images,
+    write_idx_labels,
+)
 from oplu_net import datasets, linalg
 from oplu_net.cli import main, run_adding, run_grad_diag, run_mnist
 from oplu_net.config import ConfigError, format_config, load_config
@@ -326,8 +338,8 @@ class TestRunMnist:
         assert abs(report.mean - np.mean(report.final_test_accuracies)) < 1e-12
 
     def test_first_weights_are_drawn_before_the_images_are_read(self, tmp_path, monkeypatch):
-        # so the scratch of the orthogonal init's expm (one per layer) is
-        # freed before the image sets take their memory
+        # every run's, so the scratch of the orthogonal init's expm (one
+        # per layer) is freed before the image sets take their memory
         data_dir = tmp_path / "data"
         write_image_fixture(data_dir, n_train=40, n_test=20)
         calls = []
@@ -336,7 +348,39 @@ class TestRunMnist:
         run_mnist(load_config("mnist", overrides={
             **MNIST_SMOKE, "init": "orthogonal", "repeats": "2", "data_dir": str(data_dir),
             "out_dir": str(tmp_path / "out")}))
-        assert calls == ["expm"] * 3 + ["load_mnist_idx"] * 2 + ["expm"] * 3
+        assert calls == ["expm"] * 6 + ["load_mnist_idx"] * 2
+
+    def test_repeats_equal_runs_drawn_after_the_images(self, tmp_path):
+        # reference: each run's weights drawn, evaluated untrained and
+        # trained in turn, all after the images are read
+        data_dir = tmp_path / "data"
+        write_image_fixture(data_dir, n_train=300, n_test=200)
+        cfg = load_config("mnist", overrides={
+            **MNIST_SMOKE, "epochs": "2", "init": "orthogonal", "repeats": "2",
+            "data_dir": str(data_dir), "out_dir": str(tmp_path / "out")})
+        report = run_mnist(cfg)
+
+        train = load_mnist_idx(data_dir / cfg["train_images"], data_dir / cfg["train_labels"])
+        test = load_mnist_idx(data_dir / cfg["test_images"], data_dir / cfg["test_labels"])
+        lines = ["run,epoch,train_loss,train_accuracy,test_accuracy"]
+        best_net, best_acc = None, -1.0
+        for run in range(2):
+            rng = Rng(cfg["seed"] + run)
+            net = init_dense((784, 16, 16, 10), cfg["activation"], "softmax_xent", "orthogonal", rng)
+            opt = SgdMomentum(cfg["alpha"], cfg["mu"])
+            test_acc = evaluate(net, test.rows(), test.one_hot_targets()).accuracy
+            for epoch in (1, 2):
+                stats = train_epoch(net, opt, train.rows(), train.one_hot_targets(),
+                                    cfg["batch_size"], rng)
+                test_acc = evaluate(net, test.rows(), test.one_hot_targets()).accuracy
+                lines.append(f"{run},{epoch},{float(stats.mean_loss)!r},"
+                             f"{float(stats.accuracy)!r},{float(test_acc)!r}")
+            if test_acc > best_acc:
+                best_net, best_acc = net, test_acc
+        save_checkpoint(tmp_path / "reference.ckpt", best_net)
+        assert Path(report.csv_path).read_text() == "\n".join(lines) + "\n"
+        assert (Path(report.checkpoint_path).read_bytes()
+                == (tmp_path / "reference.ckpt").read_bytes())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e3", "1e8"])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from oplu_net import (
-    AddingDataset,
     MnistDataset,
     ParseError,
     Rng,
@@ -18,7 +18,6 @@ from oplu_net import (
     write_idx_images,
     write_idx_labels,
 )
-from oplu_net.rng import UNIFORM_BLOCK
 
 
 class TestGenAdding:
@@ -86,13 +85,14 @@ class TestGenAdding:
         assert rows.tobytes() == layout[index].tobytes()
         assert data.inputs.tobytes() == layout.tobytes()
 
-    def test_peaks_near_nine_bytes_per_step(self):
-        n, seq_len = 20000, 30
-        data, peak = traced_peak(lambda: gen_adding(seq_len, n, Rng(8)))
-        assert data.values.dtype == np.float64 and data.markers.dtype == bool
-        # an 8-byte value and a 1-byte marker per step, plus uniform_array's
-        # block temporaries
-        assert peak <= 9 * n * seq_len + 4 * 8 * UNIFORM_BLOCK
+    def test_peak_per_sequence_does_not_grow_with_T(self):
+        n = 31_000
+        for seq_len in (30, 1000):
+            data, peak = traced_peak(lambda: gen_adding(seq_len, n, Rng(8)))
+            assert data.positions.shape == (n, 2) and data.targets.shape == (n, 1)
+            # the positions, the targets and a few int64 or float64 arrays
+            # of n for the draws: no array of n * T is ever allocated
+            assert peak <= 64 * n + 64 * 1024
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,8 @@ class TestSplit:
     @staticmethod
     def copying_take(data, indices):
         idx = np.asarray(indices, dtype=np.int64)
-        return AddingDataset(data.values[idx], data.markers[idx], data.targets[idx])
+        rows = idx if data.index is None else data.index[idx]
+        return dataclasses.replace(data, targets=data.targets[idx].copy(), index=rows.copy())
 
     def test_parts_equal_copied_parts(self):
         data = gen_adding(9, 40, Rng(11))
@@ -144,13 +145,18 @@ class TestSplit:
             assert part.inputs.tobytes() == copy.inputs.tobytes()
             for index in (0, -1, slice(1, 3), slice(None, None, 2), [2, 0, 2]):
                 assert part.rows(index).tobytes() == copy.rows(index).tobytes()
+            # and the rows the whole set builds at the part's row numbers
+            assert part.inputs.tobytes() == data.inputs[copy.index].tobytes()
 
-    def test_parts_share_one_copy_of_the_values(self):
-        data = gen_adding(30, 31_000, Rng(6))
-        assert data.values.nbytes == 7_440_000
+    def test_parts_share_one_copy_of_the_positions(self):
+        n = 31_000
+        data = gen_adding(1000, n, Rng(6))
         parts, peak = traced_peak(lambda: split(data, 20_000, 1_000, 10_000, Rng(7)))
-        assert peak < 7_400_000
-        assert all(np.shares_memory(part.values, data.values) for part in parts)
+        # the shuffled order as a list of Python ints, its draws and the
+        # parts' row numbers and targets; nothing grows with T
+        assert peak < 100 * n
+        assert all(part.positions is data.positions and part.stream is data.stream
+                   for part in parts)
 
 
 class TestIdxFiles:

@@ -25,6 +25,11 @@ from oplu_net.config import INIT_CHOICES
 from oplu_net.linalg import INIT_KINDS, init_weights
 from oplu_net.rng import UNIFORM_BLOCK
 
+# the documented SplitMix64 increment, and how far the oracles below draw
+# the scalar stream one by one
+GAMMA = 0x9E3779B97F4A7C15
+SCALAR_REACH = 300
+
 
 def taylor_expm(s, terms=40):
     """Direct Taylor summation oracle: sum_k s^k / k!."""
@@ -484,6 +489,51 @@ class TestRng:
                 reference[i], reference[j] = reference[j], reference[i]
             assert shuffled == reference
             assert a.next_u64() == b.next_u64()
+
+    def test_reseeding_k_increments_on_continues_the_stream(self):
+        # the recurrence state += gamma: a generator seeded k increments
+        # past another draws what that one draws after k draws, which is
+        # the reference the oracles below use for offsets past 2^32
+        for seed in (0, 7, 2**64 - 1):
+            stream = Rng(seed)
+            for k in range(50):
+                assert Rng(seed + k * GAMMA).next_u64() == stream.next_u64()
+
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.one_of(st.integers(0, SCALAR_REACH), st.integers(2**32 - 3, 2**62)),
+                    max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_uniform_at_reads_the_scalar_stream(self, seed, offsets):
+        # unsorted and repeated offsets, near or past 2^32
+        rng = Rng(seed)
+        got = rng.uniform_at(np.array(offsets, dtype=np.int64))
+        scalar = Rng(seed)
+        stream = [scalar.uniform() for _ in range(SCALAR_REACH + 1)]
+        expected = [stream[k] if k <= SCALAR_REACH else Rng(seed + k * GAMMA).uniform()
+                    for k in offsets]
+        assert got.dtype == np.float64 and got.shape == (len(offsets),)
+        assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        # the read does not advance the stream
+        assert rng.next_u64() == Rng(seed).next_u64()
+
+    def test_uniform_at_keeps_the_offsets_shape(self):
+        offsets = np.array([[3, 0, 3], [9, 1, 4]])
+        got = Rng(21).uniform_at(offsets)
+        stream = Rng(21).uniform_array(10)
+        assert got.tobytes() == stream[offsets].tobytes()
+
+    @given(st.integers(0, 2**64 - 1), st.one_of(st.integers(0, SCALAR_REACH), st.integers(2**32, 2**70)))
+    @settings(max_examples=150, deadline=None)
+    def test_skip_leaves_the_state_of_n_scalar_draws(self, seed, n):
+        skipped = Rng(seed)
+        skipped.skip(n)
+        if n <= SCALAR_REACH:
+            drawn = Rng(seed)
+            for _ in range(n):
+                drawn.uniform()
+        else:
+            drawn = Rng(seed + n * GAMMA)
+        assert skipped.next_u64() == drawn.next_u64()
 
     def test_spawn_gives_distinct_stream(self):
         parent = Rng(1)

@@ -296,7 +296,7 @@ class TestEvaluateAdding:
         net = Srn(np.zeros((2, h)), np.zeros((h, h)), np.zeros(h),
                   np.zeros((h, 1)), np.array([0.75]), "linear")
         data = gen_adding(8, 40, Rng(9))
-        exact = type(data)(data.values, data.markers, np.full((len(data), 1), 0.75))
+        exact = dataclasses.replace(data, targets=np.full((len(data), 1), 0.75))
         mse, success = evaluate_adding(net, exact, threshold=0.04)
         assert mse == 0.0
         assert success == 1.0
@@ -305,7 +305,7 @@ class TestEvaluateAdding:
         net = build_srn(6, "tanh", seed=4)
         data = gen_adding(8, 40, Rng(9))
         predictions = np.vstack([srn_forward(net, data.inputs[i])[0] for i in range(len(data))])
-        oracle_set = type(data)(data.values, data.markers, predictions)
+        oracle_set = dataclasses.replace(data, targets=predictions)
         mse, success = evaluate_adding(net, oracle_set, threshold=0.04)
         assert mse <= 1e-30
         assert success == 1.0
