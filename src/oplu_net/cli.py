@@ -148,7 +148,8 @@ def run_adding(cfg: dict) -> AddingReport:
     init = resolve_init("adding", cfg)
     net = init_srn(2, cfg["hidden"], 1, cfg["activation"], init, init_rng)
     opt = SgdMomentum(cfg["alpha"], cfg["mu"])
-    horizon = cfg["horizon"] if cfg["horizon"] > 0 else seq_len
+    # training, the delta trace and its header all unroll this many steps
+    horizon = min(cfg["horizon"], seq_len) if cfg["horizon"] > 0 else seq_len
 
     _ensure_dir(cfg["out_dir"])
     tag = f"adding_{cfg['activation']}_T{seq_len}"

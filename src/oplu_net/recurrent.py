@@ -8,10 +8,18 @@ activation's derivative each step; with an orthogonal recurrent matrix and
 the permutation activation both factors preserve the delta norm, so
 gradients neither vanish nor explode no matter how far back they travel.
 
-The forward pass and BPTT are written once, for a batch of sequences that
-share their length; srn_forward and bptt run one sequence as a batch of
-one, and gradients are tensor lists in named_parameters order. Srn shares
-DenseNet's model interface (loss, forward, gradients, delta_norms,
+One forward loop (_srn_forward_batch) and one delta recursion
+(_delta_recursion) serve every pass over a batch of sequences that share
+their length; srn_forward and bptt run one sequence as a batch of one.
+Training and Srn.forward keep a tape of every step: one GEMM projects all
+steps' inputs and one check after the loop finds the first non-finite
+step, which at a batch of 20 costs less than a product and a check a step.
+Evaluation and traces keep no tape: each step overwrites one row buffer and
+projects its own inputs, as one GEMM would hold all steps' input terms of a
+512-row chunk (12 MB at T = 30 and 100 units). The recursion stores every
+step's delta for the gradients (tensor lists in named_parameters order), or
+keeps only the current one and returns each step's norms for a trace. Srn
+shares DenseNet's model interface (loss, forward, gradients, delta_norms,
 delta_norms_row_bytes, kink_gap).
 """
 
@@ -26,7 +34,7 @@ from .linalg import init_weights, l2_norms
 from .network import loss_rows, loss_value, output_delta
 from .rng import Rng
 
-EVALUATE_ADDING_CHUNK = 512  # rows per tape-free forward pass of evaluate_adding
+EVALUATE_ADDING_CHUNK = 512  # rows per untaped forward pass of evaluate_adding
 
 
 @dataclass
@@ -98,25 +106,11 @@ class Srn:
     def delta_norms(self, rows, targets) -> np.ndarray:
         """The L2 norm of every step's hidden delta for every row, oldest
         step first: norms[k, i] is that of row i at step k, bit for bit the
-        l2_norms of the deltas that gradients returns.
-
-        The forward pass keeps only each step's backward factor, and the
-        delta recursion, newest step first, only the current delta.
+        l2_norms of the deltas that gradients returns, without their tape.
         """
         factors = []
-        y = _srn_predict_batch(self, rows, factors)
-        residual = output_delta(self.loss, y, targets)
-        norms = np.empty((len(factors), len(y)))
-        delta = np.empty((len(y), self.hidden_dim))
-        w_rec_t = np.ascontiguousarray(self.w_rec.T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta_hat = residual @ self.w_out.T
-            for k in range(len(factors) - 1, -1, -1):
-                apply_backward(self.hidden_activation, delta_hat, factors[k], out=delta)
-                norms[k] = l2_norms(delta)
-                if k:
-                    np.matmul(delta, w_rec_t, out=delta_hat)
-        return norms
+        y, _ = _srn_forward_batch(self, rows, taped=False, factors=factors)
+        return _delta_recursion(self, output_delta(self.loss, y, targets), factors)
 
     def delta_norms_row_bytes(self, shape) -> int:
         """Bytes that delta_norms holds per row of inputs shaped (T,
@@ -182,32 +176,75 @@ def _as_batch(net: Srn, inputs) -> np.ndarray:
     return inputs
 
 
-def _srn_forward_batch(net: Srn, inputs: np.ndarray):
-    """inputs shape (batch, T, input_dim) -> (y rows, SrnTape)."""
+def _srn_forward_batch(net: Srn, inputs, taped=True, factors=None):
+    """inputs shape (batch, T, input_dim) -> (y rows, SrnTape), or (y rows,
+    None) when not `taped`: then each step overwrites the last one's values
+    and appends its backward_factor, all that the delta recursion needs of
+    it, to `factors` when that is a list. Both modes raise NumericError on
+    the first step with a non-finite presynaptic value, then on the readout.
+    """
     inputs = _as_batch(net, inputs)
     batch, steps = inputs.shape[0], inputs.shape[1]
+    kind = net.hidden_activation
     x = inputs.transpose(1, 0, 2)
-    presyn = np.empty((steps, batch, net.hidden_dim))
-    hidden = np.empty((steps + 1, batch, net.hidden_dim))
+    # step t reads hidden[r] and writes presyn[r]: r = t with a tape, else 0
+    presyn = np.empty((steps if taped else 1, batch, net.hidden_dim))
+    hidden = np.empty((steps + 1 if taped else 1, batch, net.hidden_dim))
     hidden[0] = net.h0
     recurrent = np.empty((batch, net.hidden_dim))
+    finite = np.empty(steps, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the input terms and the bias of every step in one pass
-        np.matmul(x, net.w_in, out=presyn)
-        presyn += net.b_h
+        if taped:
+            # the input terms and the bias of every step in one pass
+            np.matmul(x, net.w_in, out=presyn)
+            presyn += net.b_h
         for t in range(steps):
-            a = presyn[t]
-            a += np.matmul(hidden[t], net.w_rec, out=recurrent)
-            activate(net.hidden_activation, a, out=hidden[t + 1])
-        y = hidden[steps] @ net.w_out + net.b_out
-    # the steps before the first non-finite one come out the same either way,
-    # so one check after the loop names the step a check inside it would
-    finite = np.isfinite(presyn).all(axis=(1, 2))
+            r = t if taped else 0
+            a, h = presyn[r], hidden[r + 1 if taped else 0]
+            if not taped:
+                np.matmul(x[t], net.w_in, out=a)
+                a += net.b_h
+            a += np.matmul(hidden[r], net.w_rec, out=recurrent)
+            if not taped:
+                finite[t] = np.isfinite(a).all()
+            activate(kind, a, out=h)
+            if factors is not None:
+                factors.append(backward_factor(kind, a, h))
+        y = hidden[-1] @ net.w_out + net.b_out
+    if taped:
+        # the steps before the first non-finite one come out the same either
+        # way, so one check after the loop names the step a check inside it would
+        finite = np.isfinite(presyn).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
     if not np.isfinite(y).all():
         raise NumericError("non-finite readout after the last timestep")
-    return y, SrnTape(x, presyn, hidden)
+    return y, SrnTape(x, presyn, hidden) if taped else None
+
+
+def _delta_recursion(net: Srn, residual: np.ndarray, factors, deltas=None):
+    """Hidden deltas from the residual rows, newest step first, through the
+    backward factors in `factors` (oldest step first): one apply_backward
+    and one GEMM a step. Every delta is stored in `deltas`, shaped (steps,
+    batch, hidden), when it is given; otherwise only the current one is
+    kept and each step's l2_norms are returned, norms[k, i] for row i."""
+    kind = net.hidden_activation
+    steps = len(factors)
+    keep = deltas is not None
+    if not keep:
+        deltas = np.empty((1, len(residual), net.hidden_dim))
+        norms = np.empty((steps, len(residual)))
+    w_rec_t = np.ascontiguousarray(net.w_rec.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_hat = residual @ net.w_out.T
+        for k in range(steps - 1, -1, -1):
+            delta = deltas[k if keep else 0]
+            apply_backward(kind, delta_hat, factors[k], out=delta)
+            if not keep:
+                norms[k] = l2_norms(delta)
+            if k:
+                np.matmul(delta, w_rec_t, out=delta_hat)
+    return None if keep else norms
 
 
 def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int):
@@ -220,17 +257,11 @@ def _bptt_batch(net: Srn, inputs: np.ndarray, targets: np.ndarray, horizon: int)
     first = steps - unroll  # index of the oldest unrolled step
     residual = output_delta(net.loss, y, targets)
     deltas = np.empty((unroll, batch, net.hidden_dim))
-    w_rec_t = np.ascontiguousarray(net.w_rec.T)
-    kind = net.hidden_activation
     with np.errstate(over="ignore", invalid="ignore"):
-        # the activation Jacobians of all unrolled steps in one call, so each
-        # step of the delta recursion, newest first, is one apply and one GEMM
-        factors = backward_factor(kind, tape.presyn[first:], tape.hidden[first + 1:])
-        delta_hat = residual @ net.w_out.T
-        for k in range(unroll - 1, -1, -1):
-            apply_backward(kind, delta_hat, factors[k], out=deltas[k])
-            if k:
-                np.matmul(deltas[k], w_rec_t, out=delta_hat)
+        # the activation Jacobians of all unrolled steps in one call
+        factors = backward_factor(net.hidden_activation, tape.presyn[first:],
+                                  tape.hidden[first + 1:])
+        _delta_recursion(net, residual, factors, deltas)
         # shared weights: one product sums each gradient over steps and samples
         d = deltas.reshape(-1, net.hidden_dim)
         x_used = tape.inputs[first:].reshape(-1, net.input_dim)
@@ -263,40 +294,6 @@ def bptt(net: Srn, sample: SequenceSample, cfg: BpttConfig):
     return grads, l2_norms(deltas[:, 0])
 
 
-def _srn_predict_batch(net: Srn, inputs: np.ndarray, factors=None) -> np.ndarray:
-    """The outputs of _srn_forward_batch, computed without keeping its tape:
-    each step's hidden state overwrites the last. A non-finite hidden state
-    or readout raises NumericError as it does there.
-
-    When `factors` is a list, each step's backward_factor (a swap mask for
-    a pairing, the derivative for a scalar kind) is appended to it, oldest
-    step first: all that the delta recursion needs of the forward pass.
-    """
-    inputs = _as_batch(net, inputs)
-    batch, steps = inputs.shape[0], inputs.shape[1]
-    kind = net.hidden_activation
-    a = np.empty((batch, net.hidden_dim))
-    recurrent = np.empty((batch, net.hidden_dim))
-    h = np.empty((batch, net.hidden_dim))
-    h[...] = net.h0
-    finite = np.empty(steps, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            np.matmul(inputs[:, t, :], net.w_in, out=a)
-            a += net.b_h
-            a += np.matmul(h, net.w_rec, out=recurrent)
-            finite[t] = np.isfinite(a).all()
-            activate(kind, a, out=h)
-            if factors is not None:
-                factors.append(backward_factor(kind, a, h))
-        y = h @ net.w_out + net.b_out
-    if not finite.all():
-        raise NumericError(f"non-finite hidden state at timestep {int(np.argmin(finite))}")
-    if not np.isfinite(y).all():
-        raise NumericError("non-finite readout after the last timestep")
-    return y
-
-
 def evaluate_adding(net: Srn, dataset, threshold: float):
     """Mean loss and the fraction of predictions within threshold of
     their targets.
@@ -310,7 +307,7 @@ def evaluate_adding(net: Srn, dataset, threshold: float):
     total_loss = 0.0
     hits = 0
     for start in range(0, n, chunk):
-        y = _srn_predict_batch(net, dataset.rows(slice(start, start + chunk)))
+        y, _ = _srn_forward_batch(net, dataset.rows(slice(start, start + chunk)), taped=False)
         t = dataset.targets[start:start + chunk]
         total_loss += float(loss_rows(net.loss, y, t).sum())
         hits += int((np.abs(y - t) < threshold).all(axis=1).sum())

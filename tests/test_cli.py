@@ -184,6 +184,20 @@ class TestRunAdding:
         assert cfg["horizon"] == 0  # resolved to seq_len inside the runner
         run_adding(cfg)
 
+    def test_horizon_past_seq_len_is_clamped(self, tmp_path, capsys):
+        # training, the delta trace and its header all unroll seq_len steps
+        args = ["adding", *(a for k, v in ADDING_SMOKE.items() for a in (f"--{k}", v)),
+                "--seq_len", "5"]
+        assert main([*args, "--horizon", "9", "--out_dir", str(tmp_path / "h9")]) == 0
+        assert main([*args, "--horizon", "5", "--out_dir", str(tmp_path / "h5")]) == 0
+        trace = (tmp_path / "h9" / "adding_oplu_T5_delta_trace.csv").read_text().splitlines()
+        assert "# horizon=5" in trace
+        assert len(trace) == trace.index("step,mean_l2_norm") + 1 + 5
+        names = sorted(p.name for p in (tmp_path / "h5").iterdir())
+        assert sorted(p.name for p in (tmp_path / "h9").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "h9" / name).read_bytes() == (tmp_path / "h5" / name).read_bytes()
+
     # smoke sizes whose validation MSE is not monotone at the rates below
     SELECTION = {**ADDING_SMOKE, "iterations_per_epoch": "5", "batch_size": "4",
                  "valid_n": "20", "test_n": "20"}

@@ -28,6 +28,7 @@ def openblas_config():
             get_config = ctypes.CDLL(path).scipy_openblas_get_config64_
         except (OSError, AttributeError):
             continue
+        get_config.argtypes = []
         get_config.restype = ctypes.c_char_p
         return get_config().decode()
     return None

@@ -27,7 +27,7 @@ from oplu_net import (
 from oplu_net import activations, diagnostics, linalg
 from oplu_net.activations import activate_backward, make_activation
 from oplu_net.network import output_delta
-from oplu_net.recurrent import _bptt_batch, _srn_forward_batch, _srn_predict_batch
+from oplu_net.recurrent import _bptt_batch, _srn_forward_batch
 
 
 class TestSrnForward:
@@ -99,7 +99,7 @@ class TestSrnForward:
     def test_tape_free_forward_rejects_bad_shapes(self, shape):
         net = build_srn(4, "tanh")
         with pytest.raises(ShapeError):
-            _srn_predict_batch(net, np.zeros(shape))
+            _srn_forward_batch(net, np.zeros(shape), taped=False)
 
 
 class TestTargetShapes:
@@ -285,8 +285,58 @@ class TestBatchEquivalence:
         net.b_h[...] = rng.uniform_array(8, -1, 1)
         net.h0[...] = rng.uniform_array(8, -1, 1)
         inputs = rng.uniform_array(9 * 7 * 2).reshape(9, 7, 2)
-        y_rows, *_ = _srn_forward_batch(net, inputs)
-        assert np.array_equal(_srn_predict_batch(net, inputs), y_rows)
+        y_rows, _ = _srn_forward_batch(net, inputs)
+        y_free, tape = _srn_forward_batch(net, inputs, taped=False)
+        assert tape is None
+        assert np.array_equal(y_free, y_rows)
+
+
+class TestNonFiniteForward:
+    """Both modes of the forward loop fail alike: the taped one checks every
+    step's presynaptic values after the loop, the untaped one each step's as
+    it goes, and both name the first non-finite step."""
+
+    @staticmethod
+    def messages(net, inputs):
+        found = []
+        for taped in (True, False):
+            with pytest.raises(NumericError) as info:
+                _srn_forward_batch(net, inputs, taped=taped)
+            found.append(str(info.value))
+        return found
+
+    def test_overflowing_oplu_states(self):
+        # the states grow 1e120-fold a step from a norm of 2.8: 2.8e240 at
+        # step 1, inf at step 2
+        net = build_srn(8, "oplu", init="orthogonal", seed=3)
+        net.w_rec *= 1e120
+        net.h0[...] = 1.0
+        assert self.messages(net, np.zeros((3, 6, 2))) == [
+            "non-finite hidden state at timestep 2"] * 2
+
+    def test_infinite_tanh_presyn_with_finite_states(self):
+        # one input of step 3 meets 1e308 weights; tanh maps the infinite
+        # presynaptic values to 1, so a check on the hidden states would pass
+        net = build_srn(8, "tanh", seed=3)
+        net.w_in[...] = 1e308
+        inputs = np.zeros((3, 6, 2))
+        inputs[1, 3] = 2.0
+        h = np.broadcast_to(net.h0, (3, 8))
+        with np.errstate(over="ignore"):
+            for t in range(6):
+                h = np.tanh(inputs[:, t] @ net.w_in + net.b_h + h @ net.w_rec)
+                assert np.isfinite(h).all()
+        assert self.messages(net, inputs) == ["non-finite hidden state at timestep 3"] * 2
+
+    @pytest.mark.parametrize("activation", ["oplu", "tanh"])
+    def test_overflowing_readout(self, activation):
+        # the bias keeps every state finite and near 10 or 1; 1e308 weights
+        # read them out past the largest double
+        net = build_srn(8, activation, seed=4)
+        net.b_h[...] = 10.0
+        net.w_out[...] = 1e308
+        assert self.messages(net, np.zeros((3, 6, 2))) == [
+            "non-finite readout after the last timestep"] * 2
 
 
 class TestEvaluateAdding:
