@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 
@@ -8,8 +9,11 @@ from oplu_net import (
     DenseNet,
     Rng,
     SequenceSample,
+    gen_image_classes,
     init_dense,
     init_srn,
+    write_idx_images,
+    write_idx_labels,
 )
 from oplu_net.activations import make_activation
 from oplu_net.diagnostics import draw_smooth_sample
@@ -28,6 +32,19 @@ def srn_row_bytes(steps, hidden, factor):
     inputs, a `factor`-byte backward factor and a norm a step, and four
     hidden-width working rows."""
     return steps * (2 * 8 + factor + 8) + 4 * hidden * 8
+
+
+def write_image_fixture(dir_path, n_train=600, n_test=300, seed=5):
+    """Small synthetic labeled-image dataset in IDX files."""
+    ds = gen_image_classes(n_train + n_test, Rng(seed))
+    os.makedirs(dir_path, exist_ok=True)
+
+    def dump(images, labels, img_name, lbl_name):
+        write_idx_images(os.path.join(dir_path, img_name), (images * 255).round().astype(np.uint8))
+        write_idx_labels(os.path.join(dir_path, lbl_name), labels.astype(np.uint8))
+
+    dump(ds.images[:n_train], ds.labels[:n_train], "train-images-idx3-ubyte", "train-labels-idx1-ubyte")
+    dump(ds.images[n_train:], ds.labels[n_train:], "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 def smooth_mlp_sample(net, seed=0, gap=1e-3):

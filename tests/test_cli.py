@@ -4,12 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls, traced_peak
+from conftest import count_calls, traced_peak, write_image_fixture
 from oplu_net import (
     Rng,
     SgdMomentum,
     evaluate,
-    gen_image_classes,
     init_dense,
     load_checkpoint,
     load_mnist_idx,
@@ -21,19 +20,6 @@ from oplu_net import (
 from oplu_net import datasets, linalg
 from oplu_net.cli import main, run_adding, run_grad_diag, run_mnist
 from oplu_net.config import ConfigError, format_config, load_config
-
-
-def write_image_fixture(dir_path, n_train=600, n_test=300, seed=5):
-    """Small synthetic labeled-image dataset in IDX files."""
-    ds = gen_image_classes(n_train + n_test, Rng(seed))
-    os.makedirs(dir_path, exist_ok=True)
-
-    def dump(images, labels, img_name, lbl_name):
-        write_idx_images(os.path.join(dir_path, img_name), (images * 255).round().astype(np.uint8))
-        write_idx_labels(os.path.join(dir_path, lbl_name), labels.astype(np.uint8))
-
-    dump(ds.images[:n_train], ds.labels[:n_train], "train-images-idx3-ubyte", "train-labels-idx1-ubyte")
-    dump(ds.images[n_train:], ds.labels[n_train:], "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
-"""The sha256 of every output byte of a few small recurrent CLI runs.
+"""The sha256 of every output byte of a few small CLI runs, and of each
+checkpoint they write after a load and a re-save.
 
 A change that keeps the order of every floating-point operation (a
 refactor, or a speed-up that only moves work around) must leave these
@@ -16,6 +17,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import write_image_fixture
+from oplu_net import load_checkpoint, save_checkpoint
 from oplu_net.cli import main
 
 
@@ -52,6 +55,8 @@ ADDING = ["adding", "--seq_len", "7", "--hidden", "16", "--epochs", "3", "--alph
           "--batch_size", "5", "--iterations_per_epoch", "10",
           "--train_n", "100", "--valid_n", "40", "--test_n", "600", "--seed", "3"]
 GRAD_DIAG = ["grad-diag", "--horizon", "40", "--repeats", "200", "--seed", "3"]
+# run on a 2,000/500 synthetic image set written beside the outputs
+MNIST = ["mnist", "--hidden", "32", "--epochs", "1", "--repeats", "2"]
 
 # test_n 600 takes two evaluation chunks; tanh also unrolls fewer steps than
 # it runs, and 200 grad-diag repeats take two passes with the pairwise unit
@@ -62,18 +67,22 @@ RUNS = {
     "grad-diag-oplu": GRAD_DIAG + ["--activation", "oplu"],
     "grad-diag-tanh": GRAD_DIAG + ["--activation", "tanh"],
     "grad-diag-relu": GRAD_DIAG + ["--activation", "relu"],
+    "mnist-oplu": MNIST + ["--activation", "oplu"],
+    "mnist-relu": MNIST + ["--activation", "relu"],
 }
 
 DIGESTS = {
     "adding-oplu": {
         "stdout": "14cbd92c8f24e25ca5ffe741898ea8574cff0b00f4411074ede557ea8b12d9ae",
         "adding_oplu_T7.ckpt": "9261a68e1dbf90858599fcf95e16f1284eee522a6afa31accfc15f9b7118ec11",
+        "adding_oplu_T7.ckpt re-saved": "9261a68e1dbf90858599fcf95e16f1284eee522a6afa31accfc15f9b7118ec11",
         "adding_oplu_T7.csv": "683ae5706bd952d6ed6af7138fb74be7881524c9eae33ef6e86d2c76127a121f",
         "adding_oplu_T7_delta_trace.csv": "fef7df58137f60298aa6a075a36b684db920935c0575a955cc91e0dd30cd905d",
     },
     "adding-tanh": {
         "stdout": "b5bff906adce4450cc50c657c91e7d98f16f8f4bad511a4fc96e5ff68315d8f5",
         "adding_tanh_T7.ckpt": "606b9478b978adc45cf778db453e78af65d17bf60893745c344de3dc214e542f",
+        "adding_tanh_T7.ckpt re-saved": "606b9478b978adc45cf778db453e78af65d17bf60893745c344de3dc214e542f",
         "adding_tanh_T7.csv": "52e40d14826fac67c7360ab2c5944277c9bd1674091588361c4a9b5364d6d576",
         "adding_tanh_T7_delta_trace.csv": "447deace7ef187807f2d32184b02afbb8c83614d1d7e865aba6f4cc754dd5897",
     },
@@ -89,16 +98,37 @@ DIGESTS = {
         "stdout": "7d7f02ef387bac1ca7cd4c7bbda7a9253a60d1916cb906a6a276abca22ed3b7a",
         "grad_diag_tanh_xavier_h40.csv": "5a60016831341da93e93891a1385785f299dfc19e438be5ad326aa5bb3c43fcc",
     },
+    "mnist-oplu": {
+        "stdout": "ae7fa6a61250a96056ee08a2906cd2f9c921f3aefab073bd0264d4dfe12c7311",
+        "mnist_oplu.ckpt": "b55911be36a188d1a50b84afda90275dfaa949a2e7bc20840ab8e2e1cef17c00",
+        "mnist_oplu.ckpt re-saved": "b55911be36a188d1a50b84afda90275dfaa949a2e7bc20840ab8e2e1cef17c00",
+        "mnist_oplu.csv": "c6534ca811fc28e6911d2575c09972a299d4a61933439892d438fe8afbf9aec6",
+    },
+    "mnist-relu": {
+        "stdout": "650ee7bcc5f84cbad868b8d5dbed28ba07fe4392bbb1db70402d5f6170cd7a27",
+        "mnist_relu.ckpt": "d9adf39fa0c5c189b8b526c6dc360ae20c3663d7711ff1b248dba8e61d414e55",
+        "mnist_relu.ckpt re-saved": "d9adf39fa0c5c189b8b526c6dc360ae20c3663d7711ff1b248dba8e61d414e55",
+        "mnist_relu.csv": "0d1267aa028696379965b4f82ee89bd12e17b3b1f40ed3e146faa99cb1a97774",
+    },
 }
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_digests(argv, out_dir, capsys):
-    """{file name or "stdout": sha256} of one CLI run writing into out_dir."""
+    """{file name or "stdout": sha256} of one CLI run writing into out_dir,
+    plus "<name> re-saved" for each checkpoint loaded and saved again."""
     capsys.readouterr()
     assert main(argv + ["--out_dir", str(out_dir)]) == 0
     digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
     for path in sorted(out_dir.iterdir()):
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[path.name] = sha256(path)
+        if path.suffix == ".ckpt":
+            resaved = out_dir.parent / f"resaved-{path.name}"
+            save_checkpoint(resaved, load_checkpoint(path))
+            digests[f"{path.name} re-saved"] = sha256(resaved)
     return digests
 
 
@@ -109,4 +139,8 @@ def test_outputs_match_pinned_digests(name, tmp_path, capsys):
               for key, value in PINNED_ENVIRONMENT.items() if found[key] != value]
     if differ:
         pytest.skip("digests pinned in another environment; " + "; ".join(differ))
-    assert run_digests(RUNS[name], tmp_path, capsys) == DIGESTS[name]
+    argv = RUNS[name]
+    if argv[0] == "mnist":
+        write_image_fixture(tmp_path / "data", n_train=2000, n_test=500)
+        argv = argv + ["--data_dir", str(tmp_path / "data")]
+    assert run_digests(argv, tmp_path / "out", capsys) == DIGESTS[name]
