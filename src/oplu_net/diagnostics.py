@@ -133,11 +133,12 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     for. Past four rows a pass takes a multiple of four: a BLAS
     matrix-vector kernel, such as OpenBLAS's behind a one-unit readout, may
     take rows in blocks of four and a partial block apart, so a row's last
-    bits can depend on its place in a pass modulo four. Each repeat still
-    draws its inputs and then its target from rng, and its norms join the
-    sum in repeat order, so the random stream is the same for any pass
-    size; only the matrix products, whose summation order may depend on the
-    rows in a pass, can move the trace in the last bits. Each norm is
+    bits can depend on its place in a pass modulo four. A pass reads all its
+    repeats' draws from rng in one call, in the order that repeat by repeat
+    would take them, each repeat's inputs and then its target, and its norms
+    join the sum in repeat order, so the random stream is the same for any
+    pass size; only the matrix products, whose summation order may depend
+    on the rows in a pass, can move the trace in the last bits. Each norm is
     exactly as l2_norm gives it. A NaN norm, from deltas that overflow on
     their way back through the steps or layers, raises NumericError.
     """
@@ -148,15 +149,12 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     rows = max(1, TRACE_TAPE_BYTES // model.delta_norms_row_bytes(shape))
     rows = min(repeats, rows if rows < 4 else rows - rows % 4)
     inputs = np.empty((rows,) + shape)
-    targets = np.empty((rows, model.output_dim))
     total = 0.0
     for start in range(0, repeats, rows):
         count = min(rows, repeats - start)
-        for i in range(count):
-            inputs[i] = rng.uniform_array(inputs[i].size).reshape(shape)
-            targets[i] = random_target(model.loss, model.output_dim, rng)
+        targets = random_target(model.loss, model.output_dim, rng, inputs=inputs[:count])
         # stage k of repeat i at [k, i]: the columns join the sum in repeat order
-        total = reduce(np.add, model.delta_norms(inputs[:count], targets[:count]).T, total)
+        total = reduce(np.add, model.delta_norms(inputs[:count], targets).T, total)
     if np.isnan(total).any():
         raise NumericError(f"NaN delta norm at trace step {int(np.argmax(np.isnan(total))) + 1}")
     return NormTrace([float(v) for v in total / repeats])

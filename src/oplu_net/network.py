@@ -22,7 +22,7 @@ import numpy as np
 from .activations import activate, activate_backward, check_activation, kink_gap, make_activation
 from .errors import NumericError, ShapeError
 from .linalg import init_weights, l2_norms
-from .rng import Rng
+from .rng import Rng, _to_uniform
 
 LOSS_KINDS = ("mse", "softmax_xent")
 EVALUATE_CHUNK = 1024  # rows per forward pass of evaluate
@@ -220,14 +220,25 @@ def loss_value(loss: str, y: np.ndarray, target: np.ndarray) -> float:
     return float(loss_rows(loss, y, target).mean())
 
 
-def random_target(loss: str, width: int, rng: Rng) -> np.ndarray:
+def random_target(loss: str, width: int, rng: Rng, inputs=None) -> np.ndarray:
     """A random target of the given width: one-hot at a uniform class for
-    softmax_xent, uniform in [0, 1) otherwise."""
+    softmax_xent, uniform in [0, 1) otherwise.
+
+    With `inputs`, a C-contiguous float64 array of rows, it draws a row of
+    uniform values in [0, 1) into each row and a target after each, in one
+    read of the stream as if row by row, and returns the targets as rows.
+    """
+    rows = np.empty((1, 0)) if inputs is None else inputs.reshape(len(inputs), -1)
+    size = rows.shape[1]
+    draws = size + (1 if loss == "softmax_xent" else width)
+    bits = rng._u64_block(len(rows) * draws).reshape(len(rows), draws)
+    _to_uniform(bits[:, :size], rows, 0.0, 1.0)
     if loss == "softmax_xent":
-        target = np.zeros(width)
-        target[rng.randint(width)] = 1.0
-        return target
-    return rng.uniform_array(width)
+        targets = np.zeros((len(rows), width))
+        targets[np.arange(len(rows)), bits[:, size] % np.uint64(width)] = 1.0
+    else:
+        targets = _to_uniform(bits[:, size:], np.empty((len(rows), width)), 0.0, 1.0)
+    return targets[0] if inputs is None else targets
 
 
 class SgdMomentum:

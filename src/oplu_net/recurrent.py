@@ -16,11 +16,12 @@ steps' inputs and one check after the loop finds the first non-finite
 step, which at a batch of 20 costs less than a product and a check a step.
 Evaluation and traces keep no tape: each step overwrites one row buffer and
 projects its own inputs, as one GEMM would hold all steps' input terms of a
-512-row chunk (12 MB at T = 30 and 100 units). The recursion stores every
-step's delta for the gradients (tensor lists in named_parameters order), or
-keeps only the current one and returns each step's norms for a trace. Srn
-shares DenseNet's model interface (loss, forward, gradients, delta_norms,
-delta_norms_row_bytes, kink_gap).
+512-row chunk (12 MB at T = 30 and 100 units); a trace keeps only each
+step's backward factor, the pairwise unit's at one bit a pair. The
+recursion stores every step's delta for the gradients (tensor lists in
+named_parameters order), or keeps only the current one and returns each
+step's norms for a trace. Srn shares DenseNet's model interface (loss,
+forward, gradients, delta_norms, delta_norms_row_bytes, kink_gap).
 """
 
 from dataclasses import dataclass
@@ -114,13 +115,14 @@ class Srn:
 
     def delta_norms_row_bytes(self, shape) -> int:
         """Bytes that delta_norms holds per row of inputs shaped (T,
-        input_dim): the row's inputs, and its backward factor and delta
+        input_dim): the row's inputs, and its packed backward factor (a bit
+        a pair for the pairwise unit, rounded up to whole bytes) and delta
         norm at every step, plus four hidden-width rows to work in (the
         delta, the next step's delta_hat, and the squares and remainders
         that l2_norms takes of the delta)."""
         steps, width = shape
         zeros = np.zeros((1, self.hidden_dim))
-        factor = backward_factor(self.hidden_activation, zeros, zeros).nbytes
+        factor = backward_factor(self.hidden_activation, zeros, zeros, packed=True).nbytes
         return steps * (8 * width + factor + 8) + 4 * 8 * self.hidden_dim
 
     def kink_gap(self, tape) -> float:
@@ -179,9 +181,10 @@ def _as_batch(net: Srn, inputs) -> np.ndarray:
 def _srn_forward_batch(net: Srn, inputs, taped=True, factors=None):
     """inputs shape (batch, T, input_dim) -> (y rows, SrnTape), or (y rows,
     None) when not `taped`: then each step overwrites the last one's values
-    and appends its backward_factor, all that the delta recursion needs of
-    it, to `factors` when that is a list. Both modes raise NumericError on
-    the first step with a non-finite presynaptic value, then on the readout.
+    and appends its packed backward_factor (one bit a pair for the pairwise
+    unit), all that the delta recursion needs of it, to `factors` when that
+    is a list. Both modes raise NumericError on the first step with a
+    non-finite presynaptic value, then on the readout.
     """
     inputs = _as_batch(net, inputs)
     batch, steps = inputs.shape[0], inputs.shape[1]
@@ -209,7 +212,7 @@ def _srn_forward_batch(net: Srn, inputs, taped=True, factors=None):
                 finite[t] = np.isfinite(a).all()
             activate(kind, a, out=h)
             if factors is not None:
-                factors.append(backward_factor(kind, a, h))
+                factors.append(backward_factor(kind, a, h, packed=True))
         y = hidden[-1] @ net.w_out + net.b_out
     if taped:
         # the steps before the first non-finite one come out the same either
@@ -226,8 +229,9 @@ def _delta_recursion(net: Srn, residual: np.ndarray, factors, deltas=None):
     """Hidden deltas from the residual rows, newest step first, through the
     backward factors in `factors` (oldest step first): one apply_backward
     and one GEMM a step. Every delta is stored in `deltas`, shaped (steps,
-    batch, hidden), when it is given; otherwise only the current one is
-    kept and each step's l2_norms are returned, norms[k, i] for row i."""
+    batch, hidden), when it is given; otherwise the factors are the packed
+    ones of an untaped forward pass, only the current delta is kept and
+    each step's l2_norms are returned, norms[k, i] for row i."""
     kind = net.hidden_activation
     steps = len(factors)
     keep = deltas is not None
@@ -239,7 +243,7 @@ def _delta_recursion(net: Srn, residual: np.ndarray, factors, deltas=None):
         delta_hat = residual @ net.w_out.T
         for k in range(steps - 1, -1, -1):
             delta = deltas[k if keep else 0]
-            apply_backward(kind, delta_hat, factors[k], out=delta)
+            apply_backward(kind, delta_hat, factors[k], out=delta, packed=not keep)
             if not keep:
                 norms[k] = l2_norms(delta)
             if k:

@@ -30,8 +30,14 @@ def build_srn(hidden, activation, init="xavier", seed=0, input_dim=2, output_dim
 def srn_row_bytes(steps, hidden, factor):
     """What an SRN's delta_norms holds per row of (steps, 2) inputs: the
     inputs, a `factor`-byte backward factor and a norm a step, and four
-    hidden-width working rows."""
+    hidden-width working rows. A pairing's factor is its swap mask at one
+    bit a pair in whole bytes, mask_bytes(hidden)."""
     return steps * (2 * 8 + factor + 8) + 4 * hidden * 8
+
+
+def mask_bytes(hidden):
+    """Bytes of one row's packed swap mask over `hidden` adjacent units."""
+    return (hidden // 2 + 7) // 8
 
 
 def write_image_fixture(dir_path, n_train=600, n_test=300, seed=5):

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     build_mlp,
     build_srn,
+    mask_bytes,
     orthogonal_oplu_net,
     smooth_mlp_sample,
     smooth_srn_sample,
@@ -199,8 +200,8 @@ class TestBatchedTraceReplay:
     def test_srn_matches_per_sequence_bptt(self, monkeypatch, repeats, passes):
         steps, hidden = 6, 8
         net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
-        # a swap mask of one byte a pair
-        budget = 3 * srn_row_bytes(steps, hidden, hidden // 2)
+        # a swap mask of one bit a pair
+        budget = 3 * srn_row_bytes(steps, hidden, mask_bytes(hidden))
         monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", budget)
         calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((steps, 2)), np.zeros(1))
@@ -269,35 +270,66 @@ class TestBatchedTraceReplay:
         assert np.abs(np.asarray(trace.norms) / expected - 1).max() <= 1e-14
         assert rng.next_u64() == replay.next_u64()
 
+    @pytest.mark.parametrize("model", ["srn", "dense-softmax_xent"])
+    def test_one_stream_read_per_pass(self, monkeypatch, model):
+        # a repeat takes its inputs' draws and then its target's: 12 + 1
+        # for the SRN, 5 + 1 (one class) for the dense net
+        if model == "srn":
+            net = build_srn(8, "oplu", init="orthogonal", seed=17)
+            template = (np.zeros((6, 2)), np.zeros(1))
+            budget, draws = 3 * srn_row_bytes(6, 8, mask_bytes(8)), 6 * 2 + 1
+        else:
+            net = build_mlp([5, 6, 6, 4], "oplu", loss="softmax_xent", seed=18)
+            template = (np.zeros(5), np.zeros(4))
+            budget, draws = 3 * (3 * (6 + 6 + 4) * 8), 5 + 1
+        monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", budget)
+        reads = []
+        real = Rng._u64_block
+
+        def spy(rng, n, out=None):
+            reads.append(n)
+            return real(rng, n, out=out)
+
+        monkeypatch.setattr(Rng, "_u64_block", spy)
+        rng = Rng(43)
+        trace_delta_norms(net, template, 7, rng)
+        assert reads == [3 * draws, 3 * draws, draws]
+        replay = Rng(43)
+        replay.skip(7 * draws)
+        assert rng.next_u64() == replay.next_u64()
+
     def test_pass_size_at_grad_diag_scale(self, monkeypatch):
-        # 100 steps of 100 hidden units hold 10,600 bytes a row: 98 rows
-        # fit, and a pass takes a multiple of four of them
+        # 100 steps of 100 hidden units hold 6,300 bytes a row, a 7-byte
+        # mask a step: 166 rows fit, and a pass takes a multiple of four
         net = build_srn(100, "oplu", init="orthogonal", seed=19)
-        assert net.delta_norms_row_bytes((100, 2)) == srn_row_bytes(100, 100, 50) == 10_600
+        assert net.delta_norms_row_bytes((100, 2)) == srn_row_bytes(100, 100, 7) == 6_300
         calls = _spy_batches(monkeypatch, net)
         template = SequenceSample(np.zeros((100, 2)), np.zeros(1))
         trace_delta_norms(net, template, 9, Rng(42))
         assert calls == [9]
         calls.clear()
         trace_delta_norms(net, template, 100, Rng(42))
-        assert calls == [96, 4]
+        assert calls == [100]
+        calls.clear()
+        trace_delta_norms(net, template, 1000, Rng(42))
+        assert calls == [164] * 6 + [16]
 
 
-def oracle_model(model, activation):
-    """An SRN or a dense net with 8-unit hidden layers of `activation`;
-    "oplu-gathered" pairs the units in a shuffled order, which takes the
-    gathered kernels."""
+def oracle_model(model, activation, width=8):
+    """An SRN or a dense net with `width`-unit hidden layers of
+    `activation`; "oplu-gathered" pairs the units in a shuffled order, which
+    takes the gathered kernels."""
     name = "oplu" if activation.startswith("oplu") else activation
     init = "orthogonal" if name == "oplu" else "xavier"
     rng = Rng(50)
     if model == "srn":
-        net = build_srn(8, name, init=init, seed=51)
-        net.b_h[...] = rng.uniform_array(8, -0.5, 0.5)
-        net.h0[...] = rng.uniform_array(8, -1, 1)
+        net = build_srn(width, name, init=init, seed=51)
+        net.b_h[...] = rng.uniform_array(width, -0.5, 0.5)
+        net.h0[...] = rng.uniform_array(width, -1, 1)
     else:
-        net = build_mlp([5, 8, 8, 3], name, init=init, seed=51)
+        net = build_mlp([5, width, width, 3], name, init=init, seed=51)
     if activation == "oplu-gathered":
-        order = list(range(8))
+        order = list(range(width))
         rng.shuffle(order)
         scheme = PairingScheme(zip(order[0::2], order[1::2]))
         if model == "srn":
@@ -333,6 +365,17 @@ class TestDeltaNormsOracle:
         assert norms.shape == expected.shape == (7 if model == "srn" else 3, rows)
         assert norms.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("activation", ["oplu", "oplu-gathered"])
+    @pytest.mark.parametrize("width", [2, 18, 34])
+    def test_packed_masks_at_pair_counts_off_whole_bytes(self, width, activation):
+        # 1, 9 and 17 pairs: the last byte of every packed mask is part padding
+        net = oracle_model("srn", activation, width)
+        rng = Rng(53)
+        inputs = rng.uniform_array(6 * 7 * 2, -1, 1).reshape(6, 7, 2)
+        targets = rng.uniform_array(6).reshape(6, 1)
+        norms = net.delta_norms(inputs, targets)
+        assert norms.tobytes() == norms_of_gradient_deltas(net, inputs, targets).tobytes()
+
     def test_overflowing_deltas_give_the_same_nans(self):
         # the states reach 1e200 in 40 steps and the deltas overflow on the way back
         net = build_srn(8, "linear", init="orthogonal", seed=14)
@@ -357,10 +400,11 @@ class TestTraceMemory:
             net, (np.zeros((100, 2)), np.zeros(1)), repeats, Rng(61)))[1]
 
     def test_oplu_peak_does_not_grow_with_repeats(self):
+        # 164 rows fill a pass: 200 repeats take a full one, 2,000 take twelve
         net = build_srn(100, "oplu", init="orthogonal", seed=60)
-        peak_100, peak_1000 = self.peak_bytes(net, 100), self.peak_bytes(net, 1000)
-        assert peak_1000 <= 1.1 * peak_100
-        assert max(peak_100, peak_1000) <= 1.51 * 2**20
+        peak_200, peak_2000 = self.peak_bytes(net, 200), self.peak_bytes(net, 2000)
+        assert peak_2000 <= 1.1 * peak_200
+        assert max(peak_200, peak_2000) <= 1.51 * 2**20
 
     def test_tanh_peak_stays_below_the_full_tape(self):
         net = build_srn(100, "tanh", seed=60)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import write_image_fixture
-from oplu_net import load_checkpoint, save_checkpoint
+from oplu_net import diagnostics, load_checkpoint, save_checkpoint
 from oplu_net.cli import main
 
 
@@ -59,8 +59,8 @@ GRAD_DIAG = ["grad-diag", "--horizon", "40", "--repeats", "200", "--seed", "3"]
 MNIST = ["mnist", "--hidden", "32", "--epochs", "1", "--repeats", "2"]
 
 # test_n 600 takes two evaluation chunks; tanh also unrolls fewer steps than
-# it runs, and 200 grad-diag repeats take two passes with the pairwise unit
-# and relu and eight with tanh
+# it runs, and 200 grad-diag repeats take one pass with the pairwise unit
+# and eight with tanh and relu
 RUNS = {
     "adding-oplu": ADDING + ["--activation", "oplu"],
     "adding-tanh": ADDING + ["--activation", "tanh", "--horizon", "4"],
@@ -88,7 +88,7 @@ DIGESTS = {
     },
     "grad-diag-oplu": {
         "stdout": "2a0e8fc523e339979a13e6ef6c259113ad9f1cdc4ae742cd6990c4f848811fae",
-        "grad_diag_oplu_orthogonal_h40.csv": "1c409ba69df864df64602780879a509a2eb610b16de7a2abf9db5c1a24ae51c5",
+        "grad_diag_oplu_orthogonal_h40.csv": "d783c5b6e0d7e2248a65223638de0c8c4b1342699945a4d4647ca7cfff27ab92",
     },
     "grad-diag-relu": {
         "stdout": "1ca0cdaa3babb966ecf927145960e17dbddb2c8104ca211434a1dcc913bd5eb3",
@@ -132,15 +132,32 @@ def run_digests(argv, out_dir, capsys):
     return digests
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_outputs_match_pinned_digests(name, tmp_path, capsys):
+def skip_unless_pinned_environment():
     found = environment()
     differ = [f"{key}: {found[key]!r} here, {value!r} pinned"
               for key, value in PINNED_ENVIRONMENT.items() if found[key] != value]
     if differ:
         pytest.skip("digests pinned in another environment; " + "; ".join(differ))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_pinned_digests(name, tmp_path, capsys):
+    skip_unless_pinned_environment()
     argv = RUNS[name]
     if argv[0] == "mnist":
         write_image_fixture(tmp_path / "data", n_train=2000, n_test=500)
         argv = argv + ["--data_dir", str(tmp_path / "data")]
     assert run_digests(argv, tmp_path / "out", capsys) == DIGESTS[name]
+
+
+def test_grad_diag_in_two_passes_keeps_its_earlier_bytes(monkeypatch, tmp_path, capsys):
+    # with one byte a pair, 168 rows of 6,160 bytes fit a pass and the 200
+    # repeats ran as 168 + 32; a budget of 168 of today's 4,440-byte rows
+    # takes the same passes, and the trace's bytes are those it wrote then
+    skip_unless_pinned_environment()
+    monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", 168 * 4440)
+    assert run_digests(RUNS["grad-diag-oplu"], tmp_path / "out", capsys) == {
+        **DIGESTS["grad-diag-oplu"],
+        "grad_diag_oplu_orthogonal_h40.csv":
+            "1c409ba69df864df64602780879a509a2eb610b16de7a2abf9db5c1a24ae51c5",
+    }

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_srn, count_calls, smooth_srn_sample, srn_row_bytes
+from conftest import build_srn, count_calls, mask_bytes, smooth_srn_sample, srn_row_bytes
 from oplu_net import (
     BpttConfig,
     DenseLayer,
@@ -502,9 +502,9 @@ class TestCallCounts:
     def test_one_norm_call_per_trace_pass(self, monkeypatch):
         steps, hidden = 6, 8
         net = build_srn(hidden, "oplu", init="orthogonal", seed=17)
-        # three rows a pass, with a swap mask of one byte a pair: 7 repeats
+        # three rows a pass, with a swap mask of one bit a pair: 7 repeats
         # take passes of 3, 3 and 1, and each pass one call a step
-        budget = 3 * srn_row_bytes(steps, hidden, hidden // 2)
+        budget = 3 * srn_row_bytes(steps, hidden, mask_bytes(hidden))
         monkeypatch.setattr(diagnostics, "TRACE_TAPE_BYTES", budget)
         batched = count_calls(monkeypatch, linalg, "l2_norms")
         single = count_calls(monkeypatch, linalg, "l2_norm")
