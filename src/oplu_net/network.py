@@ -229,15 +229,15 @@ def random_target(loss: str, width: int, rng: Rng, inputs=None) -> np.ndarray:
     read of the stream as if row by row, and returns the targets as rows.
     """
     rows = np.empty((1, 0)) if inputs is None else inputs.reshape(len(inputs), -1)
-    size = rows.shape[1]
+    n, size = rows.shape
     draws = size + (1 if loss == "softmax_xent" else width)
-    bits = rng._u64_block(len(rows) * draws).reshape(len(rows), draws)
+    bits = rng._u64_block(n * draws).reshape(n, draws)
     _to_uniform(bits[:, :size], rows, 0.0, 1.0)
     if loss == "softmax_xent":
-        targets = np.zeros((len(rows), width))
-        targets[np.arange(len(rows)), bits[:, size] % np.uint64(width)] = 1.0
+        targets = np.zeros((n, width))
+        targets[np.arange(n), bits[:, size] % np.uint64(width)] = 1.0
     else:
-        targets = _to_uniform(bits[:, size:], np.empty((len(rows), width)), 0.0, 1.0)
+        targets = _to_uniform(bits[:, size:], np.empty((n, width)), 0.0, 1.0)
     return targets[0] if inputs is None else targets
 
 

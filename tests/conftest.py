@@ -30,13 +30,14 @@ def build_srn(hidden, activation, init="xavier", seed=0, input_dim=2, output_dim
 def srn_row_bytes(steps, hidden, factor):
     """What an SRN's delta_norms holds per row of (steps, 2) inputs: the
     inputs, a `factor`-byte backward factor and a norm a step, and four
-    hidden-width working rows. A pairing's factor is its swap mask at one
-    bit a pair in whole bytes, mask_bytes(hidden)."""
+    hidden-width working rows. A pairing's factor is its swap mask packed
+    at one bit a pair, mask_bytes(hidden)."""
     return steps * (2 * 8 + factor + 8) + 4 * hidden * 8
 
 
 def mask_bytes(hidden):
-    """Bytes of one row's packed swap mask over `hidden` adjacent units."""
+    """Bytes of one row's swap mask over `hidden` units at one bit a pair,
+    rounded up to whole bytes."""
     return (hidden // 2 + 7) // 8
 
 
