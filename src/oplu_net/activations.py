@@ -286,21 +286,19 @@ def backward_factor(kind, a: np.ndarray, z: np.ndarray, packed=False) -> np.ndar
     `z` holds the values that activate returned for `a`. Any number of
     leading axes may be taken at once, such as all steps of a sequence.
     `packed` keeps a swap mask as one bit a pair (np.packbits along the
-    pairs) for an apply_backward with `packed` too; it leaves a derivative
-    as it is."""
+    pairs, uint8 where the mask is bool); it leaves a derivative as it is."""
     if isinstance(kind, PairingScheme):
         mask = swap_mask(a, kind)
         return np.packbits(mask, axis=-1) if packed else mask
     return scalar_derivative(kind, a, value=z)
 
 
-def apply_backward(kind, delta_hat: np.ndarray, factor: np.ndarray, out=None,
-                   packed=False) -> np.ndarray:
+def apply_backward(kind, delta_hat: np.ndarray, factor: np.ndarray, out=None) -> np.ndarray:
     """Deltas with respect to the presynaptic input, given those with
-    respect to the values and the backward_factor at that input (taken with
-    the same `packed`), written into `out` when given."""
+    respect to the values and the backward_factor at that input, packed or
+    not, written into `out` when given."""
     if isinstance(kind, PairingScheme):
-        if packed:
+        if factor.dtype == np.uint8:
             factor = np.unpackbits(factor, axis=-1, count=len(kind.pairs)).view(bool)
         return oplu_backward(delta_hat, factor, kind, out=out)
     return np.multiply(delta_hat, factor, out=out)

@@ -152,7 +152,7 @@ def trace_delta_norms(model, sample, repeats: int, rng: Rng) -> NormTrace:
     total = 0.0
     for start in range(0, repeats, rows):
         count = min(rows, repeats - start)
-        targets = random_target(model.loss, model.output_dim, rng, inputs=inputs[:count])
+        targets = random_target(model.loss, model.output_dim, rng, inputs[:count])
         # stage k of repeat i at [k, i]: the columns join the sum in repeat order
         total = reduce(np.add, model.delta_norms(inputs[:count], targets).T, total)
     if np.isnan(total).any():

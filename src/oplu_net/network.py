@@ -220,15 +220,16 @@ def loss_value(loss: str, y: np.ndarray, target: np.ndarray) -> float:
     return float(loss_rows(loss, y, target).mean())
 
 
-def random_target(loss: str, width: int, rng: Rng, inputs=None) -> np.ndarray:
-    """A random target of the given width: one-hot at a uniform class for
+def random_target(loss: str, width: int, rng: Rng, inputs: np.ndarray) -> np.ndarray:
+    """Fill a pass's input rows with uniform draws and return their random
+    targets of the given width: one-hot at a uniform class for
     softmax_xent, uniform in [0, 1) otherwise.
 
-    With `inputs`, a C-contiguous float64 array of rows, it draws a row of
-    uniform values in [0, 1) into each row and a target after each, in one
-    read of the stream as if row by row, and returns the targets as rows.
+    `inputs` is a C-contiguous float64 array of rows; each row takes its
+    uniform values in [0, 1) and then its target, all in one read of the
+    stream as if row by row. The targets come back as rows.
     """
-    rows = np.empty((1, 0)) if inputs is None else inputs.reshape(len(inputs), -1)
+    rows = inputs.reshape(len(inputs), -1, copy=False)
     n, size = rows.shape
     draws = size + (1 if loss == "softmax_xent" else width)
     bits = rng._u64_block(n * draws).reshape(n, draws)
@@ -238,7 +239,7 @@ def random_target(loss: str, width: int, rng: Rng, inputs=None) -> np.ndarray:
         targets[np.arange(n), bits[:, size] % np.uint64(width)] = 1.0
     else:
         targets = _to_uniform(bits[:, size:], np.empty((n, width)), 0.0, 1.0)
-    return targets[0] if inputs is None else targets
+    return targets
 
 
 class SgdMomentum:

@@ -229,9 +229,8 @@ def _delta_recursion(net: Srn, residual: np.ndarray, factors, deltas=None):
     """Hidden deltas from the residual rows, newest step first, through the
     backward factors in `factors` (oldest step first): one apply_backward
     and one GEMM a step. Every delta is stored in `deltas`, shaped (steps,
-    batch, hidden), when it is given; otherwise the factors are the packed
-    ones of an untaped forward pass, only the current delta is kept and
-    each step's l2_norms are returned, norms[k, i] for row i."""
+    batch, hidden), when it is given; otherwise only the current one is
+    kept and each step's l2_norms are returned, norms[k, i] for row i."""
     kind = net.hidden_activation
     steps = len(factors)
     keep = deltas is not None
@@ -243,7 +242,7 @@ def _delta_recursion(net: Srn, residual: np.ndarray, factors, deltas=None):
         delta_hat = residual @ net.w_out.T
         for k in range(steps - 1, -1, -1):
             delta = deltas[k if keep else 0]
-            apply_backward(kind, delta_hat, factors[k], out=delta, packed=not keep)
+            apply_backward(kind, delta_hat, factors[k], out=delta)
             if not keep:
                 norms[k] = l2_norms(delta)
             if k:

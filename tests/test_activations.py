@@ -206,15 +206,16 @@ class TestAdjacentKernels:
 
 
 class TestBackwardSplit:
+    @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("name", ["oplu", "relu", "tanh", "sigmoid", "linear"])
-    def test_factor_then_apply_is_activate_backward(self, name):
+    def test_factor_then_apply_is_activate_backward(self, name, packed):
         rng = Rng(33)
         kind = make_activation(name, 6)
         a = np.round(rng.uniform_array(3 * 4 * 6, -2, 2).reshape(3, 4, 6), 1)
         delta = rng.uniform_array(3 * 4 * 6, -1, 1).reshape(3, 4, 6)
         z = activate(kind, a)
         # the factors of all three steps at once, applied one step at a time
-        factors = backward_factor(kind, a, z)
+        factors = backward_factor(kind, a, z, packed=packed)
         for t in range(3):
             out = np.empty((4, 6))
             assert apply_backward(kind, delta[t], factors[t], out=out) is out
@@ -225,6 +226,9 @@ class TestBackwardSplit:
         scheme = PairingScheme.adjacent(4)
         a = np.array([[1.0, 2.0, 3.0, -1.0]])
         assert np.array_equal(backward_factor(scheme, a, activate(scheme, a)), swap_mask(a, scheme))
+        packed = backward_factor(scheme, a, activate(scheme, a), packed=True)
+        assert packed.dtype == np.uint8
+        assert np.array_equal(packed, np.packbits(swap_mask(a, scheme), axis=-1))
 
 
 class TestCheckActivationName:

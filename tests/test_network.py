@@ -130,9 +130,15 @@ class TestLosses:
             loss_rows("mse", np.zeros((2, 1)), np.zeros(2))
 
     def test_random_target_draws(self):
-        one_hot = random_target("softmax_xent", 4, Rng(3))
+        one_hot = random_target("softmax_xent", 4, Rng(3), np.empty((1, 0)))[0]
         assert one_hot.sum() == 1.0 and one_hot[Rng(3).randint(4)] == 1.0
-        assert np.array_equal(random_target("mse", 4, Rng(3)), Rng(3).uniform_array(4))
+        mse = random_target("mse", 4, Rng(3), np.empty((1, 0)))[0]
+        assert np.array_equal(mse, Rng(3).uniform_array(4))
+
+    def test_random_target_rejects_inputs_it_cannot_fill_in_place(self):
+        # a reshape of a strided view would be a copy, leaving the rows unfilled
+        with pytest.raises(ValueError):
+            random_target("mse", 1, Rng(3), np.empty((4, 3, 2))[:, ::2])
 
 
 class TestBackprop:
